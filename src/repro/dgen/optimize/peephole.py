@@ -39,19 +39,36 @@ source strings) and finishes the job:
 
 The pass is purely syntactic on expression strings (via :mod:`ast`) and
 never touches subscript targets (state mutations) or calls it cannot prove
-pure, so applying it to any fused loop body is behaviour-preserving.
+pure, so applying it to any fused loop body is behaviour-preserving.  An
+expression that does not parse is a generator bug and raises
+:class:`~repro.errors.CodegenError` rather than being skipped.
+
+Every analysis above is a pure function of an expression string, and the
+same strings recur constantly (one operand load per ALU, one invalidation
+check per recorded copy per store), so the pass works through a
+:class:`PeepholeMemo`: parsed name sets, purity verdicts and folds, the
+latter keyed on (source, the literal bindings of the names it loads,
+condition flag).  A memo lives for one code generation: dgen shares one
+between ``run_trace`` and its observed twin, and the dRMT fused generator
+between its two entry points.  Nothing outlives the generation, so every
+generated program pays for its own analysis and memory stays flat.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ...errors import CodegenError
 from ...ir import nodes as ir
 
 #: Pure builtins that may be evaluated at generation time.
 _FOLDABLE_CALLS = {"int": int, "bool": bool, "abs": abs, "min": min, "max": max}
+
+#: Builtins folded only when called with exactly one argument; ``min`` and
+#: ``max`` need at least two (one integer argument is not an iterable).
+_UNARY_CALLS = frozenset({"int", "bool", "abs"})
 
 _ALLOWED_BINOPS = (
     ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Div, ast.Mod, ast.Pow,
@@ -85,13 +102,19 @@ def _foldable(node: ast.AST) -> bool:
             isinstance(node.func, ast.Name)
             and node.func.id in _FOLDABLE_CALLS
             and not node.keywords
+            and (len(node.args) == 1 if node.func.id in _UNARY_CALLS else len(node.args) >= 2)
             and all(_foldable(arg) for arg in node.args)
         )
     return False
 
 
 def _evaluate(node: ast.AST) -> Optional[ast.AST]:
-    """Evaluate a foldable node; ``None`` when evaluation fails (e.g. ``1 // 0``)."""
+    """Evaluate a foldable node; ``None`` when evaluation fails.
+
+    Folding leaves an expression alone when Python would raise evaluating it
+    (``1 // 0``, ``1 << -1``), so the generated code raises at run time, as
+    the unfolded code would.  Any other exception is a bug and propagates.
+    """
     expression = ast.Expression(body=node)
     ast.fix_missing_locations(expression)
     try:
@@ -100,7 +123,7 @@ def _evaluate(node: ast.AST) -> Optional[ast.AST]:
             {"__builtins__": {}},
             dict(_FOLDABLE_CALLS),
         )
-    except Exception:
+    except (ArithmeticError, ValueError):
         return None
     if isinstance(value, bool) or isinstance(value, int):
         return ast.Constant(value=value)
@@ -240,11 +263,7 @@ def fold_source(
     With ``condition=True`` the expression sits in truthiness position and
     additionally has its value-preserving wrappers stripped.
     """
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError:  # pragma: no cover - generated expressions always parse
-        return source, None
-    folded = _Folder(env or {}).visit(tree.body)
+    folded = _Folder(env or {}).visit(_parse(source).body)
     if condition:
         folded = _Folder(env or {}).visit(_simplify_condition(folded))
     value = folded.value if _is_literal(folded) else None
@@ -256,29 +275,62 @@ def fold_source(
 # ----------------------------------------------------------------------
 # Statement-level pass
 # ----------------------------------------------------------------------
-def _expr_names(source: str) -> Set[str]:
-    """Every identifier loaded or called anywhere in an expression string."""
+def _parse(source: str) -> ast.Expression:
     try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError:
-        return set()
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        return ast.parse(source, mode="eval")
+    except SyntaxError as error:
+        raise CodegenError(
+            f"peephole pass got a malformed expression {source!r}: {error}"
+        ) from error
+
+
+def _expr_names(source: str) -> FrozenSet[str]:
+    """Every identifier loaded or called anywhere in an expression string."""
+    return frozenset(node.id for node in ast.walk(_parse(source)) if isinstance(node, ast.Name))
 
 
 def _is_pure_expr(source: str) -> bool:
     """True when the expression cannot mutate anything (folding builtins only)."""
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError:
-        return False
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(source)):
         if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name) and node.func.id in _FOLDABLE_CALLS):
                 return False
     return True
 
 
-def _mutated_names(statements: Sequence[ir.IRStmt]) -> Set[str]:
+class PeepholeMemo:
+    """Memoised string analyses for one code generation (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self._names: Dict[str, FrozenSet[str]] = {}
+        self._pure: Dict[str, bool] = {}
+        self._folds: Dict[tuple, Tuple[str, Optional[int]]] = {}
+
+    def names(self, source: str) -> FrozenSet[str]:
+        names = self._names.get(source)
+        if names is None:
+            names = self._names[source] = _expr_names(source)
+        return names
+
+    def is_pure(self, source: str) -> bool:
+        pure = self._pure.get(source)
+        if pure is None:
+            pure = self._pure[source] = _is_pure_expr(source)
+        return pure
+
+    def fold(
+        self, source: str, env: Dict[str, int], condition: bool = False
+    ) -> Tuple[str, Optional[int]]:
+        """:func:`fold_source`, memoised on the bindings of the names ``source`` loads."""
+        bindings = frozenset((name, env[name]) for name in self.names(source) if name in env)
+        key = (source, bindings, condition)
+        folded = self._folds.get(key)
+        if folded is None:
+            folded = self._folds[key] = fold_source(source, env, condition)
+        return folded
+
+
+def _mutated_names(statements: Sequence[ir.IRStmt], memo: PeepholeMemo) -> Set[str]:
     """Names whose bindings or contents may change anywhere in ``statements``.
 
     Covers identifier assignment targets, the base names of subscript
@@ -289,8 +341,8 @@ def _mutated_names(statements: Sequence[ir.IRStmt]) -> Set[str]:
     names: Set[str] = set()
 
     def visit_expr(source: str) -> None:
-        if not _is_pure_expr(source):
-            names.update(_expr_names(source))
+        if not memo.is_pure(source):
+            names.update(memo.names(source))
 
     for statement in statements:
         if isinstance(statement, ir.Assign):
@@ -301,19 +353,19 @@ def _mutated_names(statements: Sequence[ir.IRStmt]) -> Set[str]:
                 if match:
                     names.add(match.group(1))
                 else:  # unrecognised target shape: give up on precision
-                    names.update(_expr_names(statement.target))
+                    names.update(memo.names(statement.target))
             visit_expr(statement.expression)
         elif isinstance(statement, (ir.Return, ir.ExprStmt)):
             visit_expr(statement.expression)
         elif isinstance(statement, ir.If):
             for condition, body in statement.branches:
                 visit_expr(condition)
-                names |= _mutated_names(body)
-            names |= _mutated_names(statement.orelse)
+                names |= _mutated_names(body, memo)
+            names |= _mutated_names(statement.orelse, memo)
         elif isinstance(statement, ir.For):
             names.add(statement.target)
             visit_expr(statement.iterable)
-            names |= _mutated_names(statement.body)
+            names |= _mutated_names(statement.body, memo)
     return names
 
 
@@ -334,17 +386,23 @@ def _stmt_texts(statements: Sequence[ir.IRStmt]) -> Iterator[str]:
             yield from _stmt_texts(statement.body)
 
 
+def _stmt_names(statement: ir.IRStmt, memo: PeepholeMemo) -> Set[str]:
+    """Every name mentioned anywhere in a compound statement."""
+    return set().union(*map(memo.names, _stmt_texts([statement])))
+
+
 class _Scope:
     """Mutable analysis state threaded through one straight-line region."""
 
-    def __init__(self) -> None:
+    def __init__(self, memo: PeepholeMemo) -> None:
+        self.memo = memo
         #: name -> known literal value
         self.env: Dict[str, int] = {}
         #: name -> pure expression source currently bound to it
         self.copies: Dict[str, str] = {}
 
     def fork(self) -> "_Scope":
-        forked = _Scope()
+        forked = _Scope(self.memo)
         forked.env = dict(self.env)
         forked.copies = dict(self.copies)
         return forked
@@ -355,10 +413,11 @@ class _Scope:
             self.env.pop(name, None)
             self.copies.pop(name, None)
         if names:
+            names_of = self.memo.names
             stale = [
                 target
                 for target, expression in self.copies.items()
-                if names & _expr_names(expression)
+                if not names.isdisjoint(names_of(expression))
             ]
             for target in stale:
                 self.copies.pop(target, None)
@@ -366,11 +425,12 @@ class _Scope:
 
 def _propagate(statements: Sequence[ir.IRStmt], scope: _Scope) -> List[ir.IRStmt]:
     """Constant-propagate and fold through one straight-line statement list."""
+    memo = scope.memo
     out: List[ir.IRStmt] = []
     for statement in statements:
         if isinstance(statement, ir.Assign):
-            expression, value = fold_source(statement.expression, scope.env)
-            if expression == statement.target and _is_pure_expr(expression):
+            expression, value = memo.fold(statement.expression, scope.env)
+            if expression == statement.target and memo.is_pure(expression):
                 continue  # self-assignment (the "unchanged" arm of an ALU branch)
             if statement.target.isidentifier():
                 target = statement.target
@@ -379,25 +439,27 @@ def _propagate(statements: Sequence[ir.IRStmt], scope: _Scope) -> List[ir.IRStmt
                 scope.invalidate({target})
                 if value is not None:
                     scope.env[target] = value
-                elif _is_pure_expr(expression):
+                elif memo.is_pure(expression):
                     scope.copies[target] = expression
                 else:
-                    scope.invalidate(_expr_names(expression))
+                    scope.invalidate(memo.names(expression))
             else:
-                scope.invalidate(_mutated_names([ir.Assign(statement.target, expression)]))
+                scope.invalidate(
+                    _mutated_names([ir.Assign(statement.target, expression)], memo)
+                )
             out.append(ir.Assign(statement.target, expression))
         elif isinstance(statement, ir.Return):
-            out.append(ir.Return(fold_source(statement.expression, scope.env)[0]))
+            out.append(ir.Return(memo.fold(statement.expression, scope.env)[0]))
         elif isinstance(statement, ir.ExprStmt):
-            expression = fold_source(statement.expression, scope.env)[0]
-            if not _is_pure_expr(expression):
-                scope.invalidate(_expr_names(expression))
+            expression = memo.fold(statement.expression, scope.env)[0]
+            if not memo.is_pure(expression):
+                scope.invalidate(memo.names(expression))
             out.append(ir.ExprStmt(expression))
         elif isinstance(statement, ir.If):
             out.extend(_propagate_if(statement, scope))
         elif isinstance(statement, ir.For):
-            body = _propagate(statement.body, _Scope())
-            scope.invalidate(_mutated_names([statement]))
+            body = _propagate(statement.body, _Scope(memo))
+            scope.invalidate(_mutated_names([statement], memo))
             out.append(ir.For(statement.target, statement.iterable, body))
         else:
             out.append(statement)
@@ -409,7 +471,7 @@ def _propagate_if(statement: ir.If, scope: _Scope) -> List[ir.IRStmt]:
     kept: List[Tuple[str, List[ir.IRStmt]]] = []
     orelse: Sequence[ir.IRStmt] = statement.orelse
     for condition, body in statement.branches:
-        folded, value = fold_source(condition, scope.env, condition=True)
+        folded, value = scope.memo.fold(condition, scope.env, condition=True)
         if value is not None:
             if value == 0:
                 continue
@@ -429,11 +491,11 @@ def _propagate_if(statement: ir.If, scope: _Scope) -> List[ir.IRStmt]:
     ]
     processed_orelse = _propagate(list(orelse), scope.fork())
     result = ir.If(branches=branches, orelse=processed_orelse)
-    scope.invalidate(_mutated_names([result]))
+    scope.invalidate(_mutated_names([result], scope.memo))
     return [result]
 
 
-def _upward_exposed(statements: Sequence[ir.IRStmt]) -> Set[str]:
+def _upward_exposed(statements: Sequence[ir.IRStmt], memo: PeepholeMemo) -> Set[str]:
     """Names read before any definite top-level store in ``statements``.
 
     In a loop body these are the loop-carried uses: reads at the top of the
@@ -445,19 +507,21 @@ def _upward_exposed(statements: Sequence[ir.IRStmt]) -> Set[str]:
     defined: Set[str] = set()
     for statement in statements:
         if isinstance(statement, ir.Assign):
-            exposed |= _expr_names(statement.expression) - defined
+            exposed |= memo.names(statement.expression) - defined
             if statement.target.isidentifier():
                 defined.add(statement.target)
             else:
-                exposed |= _expr_names(statement.target) - defined
+                exposed |= memo.names(statement.target) - defined
         elif isinstance(statement, (ir.Return, ir.ExprStmt)):
-            exposed |= _expr_names(statement.expression) - defined
+            exposed |= memo.names(statement.expression) - defined
         elif isinstance(statement, (ir.If, ir.For)):
-            exposed |= set().union(*map(_expr_names, _stmt_texts([statement]))) - defined
+            exposed |= _stmt_names(statement, memo) - defined
     return exposed
 
 
-def _eliminate_dead_stores(statements: List[ir.IRStmt]) -> List[ir.IRStmt]:
+def _eliminate_dead_stores(
+    statements: List[ir.IRStmt], memo: PeepholeMemo
+) -> List[ir.IRStmt]:
     """Backward-liveness dead-store elimination over one loop body.
 
     A top-level assignment to a plain name with a pure right-hand side is
@@ -467,29 +531,37 @@ def _eliminate_dead_stores(statements: List[ir.IRStmt]) -> List[ir.IRStmt]:
     edge.  Statements inside ``if`` branches are left untouched; their reads
     keep names alive conservatively.
     """
-    live = _upward_exposed(statements)
+    live = _upward_exposed(statements, memo)
     kept_reversed: List[ir.IRStmt] = []
     for statement in reversed(statements):
         if (
             isinstance(statement, ir.Assign)
             and statement.target.isidentifier()
-            and _is_pure_expr(statement.expression)
+            and memo.is_pure(statement.expression)
         ):
             if statement.target not in live:
                 continue
             live.discard(statement.target)
-            live |= _expr_names(statement.expression)
+            live |= memo.names(statement.expression)
         elif isinstance(statement, ir.Assign):
-            live |= _expr_names(statement.target)
-            live |= _expr_names(statement.expression)
+            live |= memo.names(statement.target)
+            live |= memo.names(statement.expression)
         elif isinstance(statement, (ir.Return, ir.ExprStmt)):
-            live |= _expr_names(statement.expression)
+            live |= memo.names(statement.expression)
         elif isinstance(statement, (ir.If, ir.For)):
-            live |= set().union(set(), *map(_expr_names, _stmt_texts([statement])))
+            live |= _stmt_names(statement, memo)
         kept_reversed.append(statement)
     return list(reversed(kept_reversed))
 
 
-def peephole_block(statements: Sequence[ir.IRStmt]) -> List[ir.IRStmt]:
-    """Run the full pass over one loop body (or any straight-line block)."""
-    return _eliminate_dead_stores(_propagate(statements, _Scope()))
+def peephole_block(
+    statements: Sequence[ir.IRStmt], memo: Optional[PeepholeMemo] = None
+) -> List[ir.IRStmt]:
+    """Run the full pass over one loop body (or any straight-line block).
+
+    Pass one ``memo`` to every block of the same code generation to share
+    its analyses; without one the block gets a fresh memo of its own.
+    """
+    if memo is None:
+        memo = PeepholeMemo()
+    return _eliminate_dead_stores(_propagate(statements, _Scope(memo)), memo)

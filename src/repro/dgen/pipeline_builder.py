@@ -45,7 +45,7 @@ from .codegen import (
     output_mux_function_name,
 )
 
-from .optimize.peephole import peephole_block
+from .optimize.peephole import PeepholeMemo, peephole_block
 
 #: Name of the fused trace-loop entry point emitted at :data:`OPT_FUSED`.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
@@ -372,7 +372,9 @@ class PipelineGenerator:
         inside one loop iteration; that is safe because every local is
         written before it is read within its stage.  The assembled loop body
         runs through the constant-propagation/peephole pass, which folds the
-        constant residue that ALU inlining leaves behind.
+        constant residue that ALU inlining leaves behind; both loops share
+        one :class:`PeepholeMemo`, since their bodies differ only in the
+        observer calls.
 
         ``run_trace_observed`` is the same loop with a snapshot hook invoked
         after every (PHV, stage) execution —
@@ -405,7 +407,8 @@ class PipelineGenerator:
             loop_body.append(ir.Comment(f"pipeline stage {stage}, inlined"))
             loop_body.extend(stmts)
         loop_body.append(ir.ExprStmt("_append(phv)"))
-        loop_body = peephole_block(loop_body)
+        memo = PeepholeMemo()
+        loop_body = peephole_block(loop_body, memo)
 
         body = prefix()
         body.append(ir.For("phv", "inputs", loop_body))
@@ -432,7 +435,7 @@ class PipelineGenerator:
                 ir.ExprStmt(f"observer(_phv_index, {stage}, phv, state_{stage})")
             )
         observed_body.append(ir.ExprStmt("_append(phv)"))
-        observed_body = peephole_block(observed_body)
+        observed_body = peephole_block(observed_body, memo)
 
         body = prefix()
         body.append(ir.For("_phv_index, phv", "enumerate(inputs)", observed_body))

@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dgen.optimize.peephole import peephole_block
+from ..dgen.optimize.peephole import PeepholeMemo, peephole_block
 from ..errors import CodegenError
 from ..ir import nodes as ir
 from ..ir.printer import to_source
@@ -189,15 +189,18 @@ class DrmtFusedGenerator:
                 ),
             ],
         )
-        module.functions.append(self._run_trace_function(observed=False))
-        module.functions.append(self._run_trace_function(observed=True))
+        # Both entry points run the same loop body through the peephole
+        # pass, so they share its memo.
+        memo = PeepholeMemo()
+        module.functions.append(self._run_trace_function(memo, observed=False))
+        module.functions.append(self._run_trace_function(memo, observed=True))
         module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
         module.trailer.append(
             ir.Assign("RUN_TRACE_OBSERVED", RUN_TRACE_OBSERVED_FUNCTION_NAME)
         )
         return module
 
-    def _run_trace_function(self, observed: bool) -> ir.FunctionDef:
+    def _run_trace_function(self, memo: PeepholeMemo, observed: bool) -> ir.FunctionDef:
         segments = _segments(self.schedule)
         body: List[ir.IRStmt] = []
         body.append(ir.Assign("n", "len(packets)"))
@@ -228,7 +231,7 @@ class DrmtFusedGenerator:
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
             loop_body = self._tick_loop_body(segments, observed)
-            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body))
+            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body, memo))
             body.append(tick_loop)
             for table_name in exact_tables:
                 safe = _ident(table_name)

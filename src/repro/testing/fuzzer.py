@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .. import dgen
+from ..dgen import PipelineDescription
 from ..dsim import DEFAULT_MAX_VALUE, RMTSimulator, TrafficGenerator
 from ..errors import DruzhbaError, MissingMachineCodeError
 from ..hardware import PipelineSpec
@@ -84,11 +85,20 @@ class FuzzTester:
                 max_value=config.max_value,
             )
 
-        outcome = self._run_once(machine_code, config.max_value, config.seed)
+        # One description serves both runs: it depends on the machine code and
+        # the opt level only, not on the traffic.
+        try:
+            description = dgen.generate(
+                self.pipeline_spec, machine_code, opt_level=config.opt_level
+            )
+        except DruzhbaError as error:
+            return self._error_outcome(error, config.max_value, config.seed)
+
+        outcome = self._run_once(description, config.max_value, config.seed)
         if outcome.failure_class is FailureClass.OUTPUT_MISMATCH:
             # Distinguish "wrong everywhere" from "only correct on small values"
             # (paper §5.2): re-fuzz with values restricted to the small range.
-            small = self._run_once(machine_code, config.small_max_value, config.seed + 1)
+            small = self._run_once(description, config.small_max_value, config.seed + 1)
             if small.failure_class is FailureClass.CORRECT:
                 outcome.failure_class = FailureClass.VALUE_RANGE
         return outcome
@@ -138,29 +148,10 @@ class FuzzTester:
             max_value=max_value,
         )
 
-    def _run_once(self, machine_code: MachineCode, max_value: int, seed: int) -> FuzzOutcome:
+    def _run_once(
+        self, description: PipelineDescription, max_value: int, seed: int
+    ) -> FuzzOutcome:
         config = self.config
-        try:
-            description = dgen.generate(
-                self.pipeline_spec, machine_code, opt_level=config.opt_level
-            )
-        except MissingMachineCodeError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.MISSING_MACHINE_CODE,
-                phvs_tested=0,
-                missing_pairs=[error.name],
-                seed=seed,
-                max_value=max_value,
-            )
-        except DruzhbaError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.SIMULATION_ERROR,
-                phvs_tested=0,
-                error_message=str(error),
-                seed=seed,
-                max_value=max_value,
-            )
-
         traffic = self._make_traffic(max_value, seed)
         inputs = traffic.generate(config.num_phvs)
         simulator = RMTSimulator(
@@ -168,22 +159,8 @@ class FuzzTester:
         )
         try:
             result = simulator.run(inputs)
-        except MissingMachineCodeError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.MISSING_MACHINE_CODE,
-                phvs_tested=0,
-                missing_pairs=[error.name],
-                seed=seed,
-                max_value=max_value,
-            )
         except DruzhbaError as error:
-            return FuzzOutcome(
-                failure_class=FailureClass.SIMULATION_ERROR,
-                phvs_tested=0,
-                error_message=str(error),
-                seed=seed,
-                max_value=max_value,
-            )
+            return self._error_outcome(error, max_value, seed)
 
         spec_trace = self.specification.run(inputs)
         report = compare_traces(
@@ -196,6 +173,25 @@ class FuzzTester:
             failure_class=failure_class,
             phvs_tested=config.num_phvs,
             report=report,
+            seed=seed,
+            max_value=max_value,
+        )
+
+    @staticmethod
+    def _error_outcome(error: DruzhbaError, max_value: int, seed: int) -> FuzzOutcome:
+        """The outcome of a run that dgen or the simulator refused."""
+        if isinstance(error, MissingMachineCodeError):
+            return FuzzOutcome(
+                failure_class=FailureClass.MISSING_MACHINE_CODE,
+                phvs_tested=0,
+                missing_pairs=[error.name],
+                seed=seed,
+                max_value=max_value,
+            )
+        return FuzzOutcome(
+            failure_class=FailureClass.SIMULATION_ERROR,
+            phvs_tested=0,
+            error_message=str(error),
             seed=seed,
             max_value=max_value,
         )

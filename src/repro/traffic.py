@@ -17,13 +17,22 @@ for compatibility.  Seed handling is shared: every generator owns one integer
 ``seed``, builds a fresh :class:`random.Random` per ``generate``/``iter_*``
 call, and is therefore replayable — the fuzzing workflow relies on this to
 reproduce counterexamples.
+
+Uniform draws skip :meth:`random.Random.randint`/:meth:`~random.Random.choice`
+and run their rejection loop inline: a value below ``n`` is ``getrandbits(k)``
+with ``k = n.bit_length()``, redrawn while it is ``>= n``.  That is exactly
+what CPython's ``Random._randbelow_with_getrandbits`` does under both
+methods, so every seeded trace is the one ``randint``/``choice`` would give
+(a test pins the streams), at a fraction of the per-value call overhead.
+``n`` and ``k`` are computed once per generator, not once per value.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SimulationError
 from .p4.program import P4Program
@@ -36,6 +45,19 @@ MAX_RANDOM_BITS = 16
 
 #: Signature of a per-field/per-container override: PRNG -> value.
 FieldGenerator = Callable[[random.Random], int]
+
+
+def _draw_span(low: int, high: int) -> Tuple[int, int, int]:
+    """``(low, n, k)`` for exact-stream draws from ``[low, high]``.
+
+    A value is ``low + r`` where ``r`` is the first ``getrandbits(k)`` below
+    ``n``; this is ``randint(low, high)``'s stream.
+    """
+    low, high = operator.index(low), operator.index(high)
+    n = high - low + 1
+    if n <= 0:
+        raise SimulationError(f"empty value range [{low}, {high}]")
+    return low, n, n.bit_length()
 
 
 class SeededGenerator:
@@ -108,20 +130,20 @@ class TrafficGenerator(SeededGenerator):
         """Yield ``count`` PHVs lazily (useful for very long simulations)."""
         self.check_count(count)
         rng = self.fresh_rng()
+        getrandbits = rng.getrandbits
+        low, n, k = _draw_span(self.min_value, self.max_value)
+        generators = self.field_generators or (None,) * self.num_containers
         for _ in range(count):
-            yield self._one_phv(rng)
-
-    def _one_phv(self, rng: random.Random) -> List[int]:
-        values: List[int] = []
-        for container in range(self.num_containers):
-            generator = None
-            if self.field_generators is not None:
-                generator = self.field_generators[container]
-            if generator is not None:
-                values.append(int(generator(rng)))
-            else:
-                values.append(rng.randint(self.min_value, self.max_value))
-        return values
+            values: List[int] = []
+            for generator in generators:
+                if generator is None:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    values.append(low + r)
+                else:
+                    values.append(int(generator(rng)))
+            yield values
 
 
 @dataclass
@@ -149,33 +171,59 @@ class PacketGenerator(SeededGenerator):
         """Yield ``count`` packets lazily (parity with :meth:`TrafficGenerator.iter_phvs`)."""
         self.check_count(count)
         rng = self.fresh_rng()
-        fields = self.program.all_fields()
+        getrandbits = rng.getrandbits
+        metadata = self.metadata_default
+        plan = self._field_plan()
         for _ in range(count):
-            yield self._one_packet(rng, fields)
+            packet: Dict[str, int] = {}
+            for qualified, override, n, k in plan:
+                if override is not None:
+                    packet[qualified] = int(override(rng))
+                elif n:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    packet[qualified] = r
+                else:
+                    packet[qualified] = metadata
+            yield packet
 
-    def _one_packet(self, rng: random.Random, fields: Sequence[str]) -> Dict[str, int]:
-        packet: Dict[str, int] = {}
-        for qualified in fields:
+    def _field_plan(self) -> List[Tuple[str, Optional[FieldGenerator], int, int]]:
+        """Per field, in packet order: ``(name, override, n, k)``.
+
+        An override is called per packet; otherwise a metadata field
+        (``n == 0``) takes ``metadata_default`` without a draw and a header
+        field draws below ``n`` in ``k`` bits, i.e. ``randint(0, 2**width - 1)``
+        with the width capped at :data:`MAX_RANDOM_BITS`.
+        """
+        plan = []
+        for qualified in self.program.all_fields():
             override = self.field_overrides.get(qualified)
-            if override is not None:
-                packet[qualified] = int(override(rng))
-                continue
-            instance_name = qualified.split(".", 1)[0]
-            instance = self.program.headers[instance_name]
-            if instance.is_metadata:
-                packet[qualified] = self.metadata_default
+            instance = self.program.headers[qualified.split(".", 1)[0]]
+            if override is not None or instance.is_metadata:
+                plan.append((qualified, override, 0, 0))
                 continue
             width = min(self.program.field_width(qualified), MAX_RANDOM_BITS)
-            packet[qualified] = rng.randint(0, (1 << width) - 1)
-        return packet
+            _low, n, k = _draw_span(0, (1 << width) - 1)
+            plan.append((qualified, None, n, k))
+        return plan
 
 
 # ----------------------------------------------------------------------
 # Field-generator helpers (shared by both engines)
 # ----------------------------------------------------------------------
 def uniform_field(low: int, high: int) -> FieldGenerator:
-    """Field generator drawing uniformly from ``[low, high]``."""
-    return lambda rng: rng.randint(low, high)
+    """Field generator drawing uniformly from ``[low, high]`` (``randint``'s stream)."""
+    low, n, k = _draw_span(low, high)
+
+    def draw(rng: random.Random) -> int:
+        getrandbits = rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
+
+    return draw
 
 
 def choice_field(choices: Sequence[int]) -> FieldGenerator:
@@ -188,7 +236,17 @@ def choice_field(choices: Sequence[int]) -> FieldGenerator:
     values = [int(choice) for choice in choices]
     if not values:
         raise SimulationError("choice_field needs at least one choice")
-    return lambda rng: rng.choice(values)
+    n = len(values)
+    k = n.bit_length()
+
+    def draw(rng: random.Random) -> int:
+        getrandbits = rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return values[r]
+
+    return draw
 
 
 def constant_field(value: int) -> FieldGenerator:

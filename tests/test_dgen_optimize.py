@@ -309,6 +309,70 @@ class TestPeephole:
         assert value is None
         assert "//" in source
 
+    def test_fold_source_keeps_negative_shift_unfolded(self):
+        from repro.dgen.optimize import fold_source
+
+        source, value = fold_source("x + (1 << -1)")
+        assert value is None
+        assert source == "x + (1 << -1)"
+
+    def test_fold_source_leaves_wrong_arity_builtins_alone(self):
+        from repro.dgen.optimize import fold_source
+
+        assert fold_source("min(3)") == ("min(3)", None)
+        assert fold_source("abs(1, 2)") == ("abs(1, 2)", None)
+        assert fold_source("min(3, 1, 2)") == ("1", 1)
+
+    def test_malformed_expressions_raise(self):
+        from repro.dgen.optimize import fold_source, peephole_block
+        from repro.errors import CodegenError
+        from repro.ir import nodes as ir
+
+        with pytest.raises(CodegenError, match="malformed"):
+            fold_source("1 +")
+        with pytest.raises(CodegenError, match="malformed"):
+            peephole_block([ir.Assign("a", "phv[0]"), ir.ExprStmt("sink(a")])
+
+    def test_memo_names_and_folds(self):
+        from repro.dgen.optimize.peephole import PeepholeMemo
+
+        memo = PeepholeMemo()
+        names = memo.names("f(a, b[c]) + a")
+        assert names == frozenset({"f", "a", "b", "c"})
+        assert isinstance(names, frozenset)
+        assert memo.names("f(a, b[c]) + a") is names
+        # A fold depends on the bindings of the names it loads, and only them.
+        assert memo.fold("a + b", {"a": 1, "b": 2}) == ("3", 3)
+        assert memo.fold("a + b", {"a": 2, "b": 2, "z": 9}) == ("4", 4)
+        assert memo.fold("a + b", {"a": 2}) == ("2 + b", None)
+        assert memo.fold("int(a)", {}, condition=True) == ("a", None)
+        assert memo.fold("int(a)", {}) == ("int(a)", None)
+
+    def test_shared_memo_gives_the_same_block(self):
+        from repro.dgen.optimize import peephole_block
+        from repro.dgen.optimize.peephole import PeepholeMemo
+        from repro.ir import nodes as ir
+
+        statements = [
+            ir.Assign("condition_1", "1"),
+            ir.Assign("pkt_0", "phv[0]"),
+            ir.Assign("out", "int(bool(pkt_0 > 3) and bool(condition_1))"),
+            ir.Assign("state[0]", "state[0] + out"),
+            ir.Assign("condition_1", "0"),
+            ir.Assign("out", "int(bool(pkt_0 > 3) and bool(condition_1))"),
+            ir.ExprStmt("sink(out)"),
+        ]
+        memo = PeepholeMemo()
+        first = peephole_block(list(statements), memo)
+        # The same ``out`` expression folds differently under each binding of
+        # ``condition_1``.
+        assert [s.expression for s in first if getattr(s, "target", None) == "out"] == [
+            "int(pkt_0 > 3)",
+            "int(pkt_0 > 3 and False)",
+        ]
+        assert peephole_block(list(statements), memo) == first
+        assert peephole_block(list(statements)) == first
+
     def test_condition_wrappers_stripped(self):
         from repro.dgen.optimize import fold_source
 

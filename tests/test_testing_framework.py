@@ -5,7 +5,13 @@ import pytest
 from repro import atoms, dgen
 from repro.chipmunk import MachineCodeBuilder
 from repro.dsim import Trace, TrafficGenerator
-from repro.errors import EquivalenceError, SpecificationError
+from repro.errors import (
+    CodegenError,
+    EquivalenceError,
+    MissingMachineCodeError,
+    SimulationError,
+    SpecificationError,
+)
 from repro.hardware import PipelineSpec
 from repro.machine_code import naming
 from repro.testing import (
@@ -229,3 +235,83 @@ class TestFuzzTester:
         )
         outcome = tester.test(machine_code)
         assert outcome.passed
+
+
+class TestFuzzTesterGeneratesOnce:
+    """``FuzzTester.test`` builds the pipeline description once per call."""
+
+    @pytest.fixture
+    def generate_calls(self, monkeypatch):
+        calls = []
+        real_generate = dgen.generate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_generate(*args, **kwargs)
+
+        monkeypatch.setattr(dgen, "generate", spy)
+        return calls
+
+    def test_output_mismatch_generates_once(self, threshold_setup, generate_calls):
+        spec, machine_code, _specification = threshold_setup
+        inverted = FunctionSpecification(
+            function=lambda phv, state: [0 if phv[0] > 100 else 1],
+            num_containers=1,
+            relevant_containers=[0],
+        )
+        tester = FuzzTester(spec, inverted, config=FuzzConfig(num_phvs=200, seed=2))
+        outcome = tester.test(machine_code)
+        assert outcome.failure_class is FailureClass.OUTPUT_MISMATCH
+        assert len(generate_calls) == 1
+
+    def test_value_range_generates_once(self, threshold_setup, generate_calls):
+        spec, machine_code, _specification = threshold_setup
+        # The machine code thresholds at 100, the specification at 200: they
+        # agree on every value up to small_max_value.
+        specification = FunctionSpecification(
+            function=lambda phv, state: [1 if phv[0] > 200 else 0],
+            num_containers=1,
+            relevant_containers=[0],
+        )
+        config = FuzzConfig(num_phvs=300, seed=4, small_max_value=100)
+        outcome = FuzzTester(spec, specification, config=config).test(machine_code)
+        assert outcome.failure_class is FailureClass.VALUE_RANGE
+        assert (outcome.seed, outcome.max_value) == (4, config.max_value)
+        assert len(generate_calls) == 1
+
+    def test_missing_pair_found_by_dgen(self, threshold_setup, monkeypatch):
+        spec, machine_code, specification = threshold_setup
+
+        def refuse(*args, **kwargs):
+            raise MissingMachineCodeError("pair_x")
+
+        monkeypatch.setattr(dgen, "generate", refuse)
+        outcome = FuzzTester(spec, specification, config=FuzzConfig(seed=6)).test(machine_code)
+        assert outcome.failure_class is FailureClass.MISSING_MACHINE_CODE
+        assert outcome.missing_pairs == ["pair_x"]
+        assert (outcome.phvs_tested, outcome.seed) == (0, 6)
+
+    def test_codegen_error_is_a_simulation_error(self, threshold_setup, monkeypatch):
+        spec, machine_code, specification = threshold_setup
+
+        def refuse(*args, **kwargs):
+            raise CodegenError("cannot generate")
+
+        monkeypatch.setattr(dgen, "generate", refuse)
+        outcome = FuzzTester(spec, specification).test(machine_code)
+        assert outcome.failure_class is FailureClass.SIMULATION_ERROR
+        assert outcome.error_message == "cannot generate"
+
+    def test_simulator_error_is_a_simulation_error(self, threshold_setup, monkeypatch):
+        from repro.dsim import RMTSimulator
+
+        spec, machine_code, specification = threshold_setup
+
+        def refuse(self, inputs, **kwargs):
+            raise SimulationError("cannot simulate")
+
+        monkeypatch.setattr(RMTSimulator, "run", refuse)
+        outcome = FuzzTester(spec, specification, config=FuzzConfig(seed=8)).test(machine_code)
+        assert outcome.failure_class is FailureClass.SIMULATION_ERROR
+        assert outcome.error_message == "cannot simulate"
+        assert (outcome.phvs_tested, outcome.seed) == (0, 8)
