@@ -18,21 +18,10 @@ Since PR 2 the sweep also covers the dRMT engine: packets/sec for the
 bundled P4 programs under the tick, generic and fused drivers (the fused
 cells run the dict-specialised exact-match lookup since PR 3).
 
-Since PR 3 the sweep adds the *sharded* 1M-PHV cell: the flow-counters
-workload (per-flow state, flow id in container 0) once under the generic
-driver, once under the single-threaded fused loop, and once under the
-sharded meta-driver with 4 shards across a worker pool — the scaling
-headline for >1M-PHV traces.  ``--sharded-phvs 0`` skips it.
-
-Since PR 4 the sharded cell is measured under *both* shard transports: the
-default pickle pool channel and the ``shm`` shared-memory transport
-(``repro.engine.transport``), so the trajectory records what moving the
-serialization off the parent's thread buys.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py [--phvs 3000] [--rounds 3]
-        [--programs sampling,conga] [--sharded-phvs 1000000]
+        [--programs sampling,conga]
         [--output BENCH_PR4.json]
 
 ``--rounds`` defaults to the ``DRUZHBA_BENCH_ROUNDS`` environment variable
@@ -54,11 +43,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import dgen
 from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
-from repro.drmt.traffic import PacketGenerator
 from repro.dsim import RMTSimulator
 from repro.p4 import samples
 from repro.programs import TABLE1_ORDER, get_program
-from repro.programs.variants import make_flow_counters_variant
+from repro.traffic import PacketGenerator
 
 #: Levels swept, in ladder order.
 LEVELS: Dict[int, str] = {level: dgen.OPT_LEVEL_NAMES[level] for level in dgen.OPT_LEVELS}
@@ -140,67 +128,6 @@ def measure_drmt_cell(name: str, engine: str, packets: int, rounds: int) -> Dict
     return {"seconds": best, "packets_per_sec": packets / best}
 
 
-#: The sharded cell's workload: per-flow accumulators, flow id in container 0.
-SHARDED_FLOWS = 8
-SHARDED_SHARDS = 4
-SHARDED_ENGINES = ("generic", "fused", "sharded", "sharded_shm")
-
-
-def measure_sharded_cells(
-    phvs: int, rounds: int, workers: int = 4, shards: int = SHARDED_SHARDS
-) -> Dict[str, object]:
-    """The >1M-PHV scaling cell: generic vs fused vs sharded on one workload.
-
-    The flow-counters program keeps one accumulator per flow (state cells
-    flow-owned by construction), so hash-partitioning the trace on the flow
-    container is bit-for-bit safe and the sharded meta-driver can fan the
-    shards across a process pool.  The sharded configuration runs twice —
-    once per shard transport (``sharded`` = the pickle pool channel,
-    ``sharded_shm`` = flat shared-memory buffers) — so the cell records the
-    serialization tax directly.  ``workers`` caps the pool; the recorded
-    ``cpu_count`` tells readers how much parallelism the machine offered.
-    """
-    program = make_flow_counters_variant(SHARDED_FLOWS)
-    description = dgen.generate(
-        program.pipeline_spec(), program.machine_code(), opt_level=dgen.OPT_FUSED
-    )
-    inputs = program.traffic_generator(seed=42).generate(phvs)
-    sharding = dict(engine="sharded", shards=shards, workers=workers, shard_key=[0])
-    simulators = {
-        "generic": RMTSimulator(description, engine="generic"),
-        "fused": RMTSimulator(description, engine="fused"),
-        "sharded": RMTSimulator(description, transport="pickle", **sharding),
-        "sharded_shm": RMTSimulator(description, transport="shm", **sharding),
-    }
-    transports = {"sharded": "pickle", "sharded_shm": "shm"}
-    cells: Dict[str, Dict[str, float]] = {}
-    for label, simulator in simulators.items():
-        engine_seen = None
-
-        def run():
-            nonlocal engine_seen
-            result = simulator.run(inputs)
-            assert len(result.output_trace) == phvs
-            engine_seen = result.engine
-
-        best = _best_of(rounds, run)
-        cells[label] = {"seconds": best, "phvs_per_sec": phvs / best, "engine": engine_seen}
-        if label in transports:
-            cells[label]["transport"] = transports[label]
-    return {
-        "program": program.name,
-        "phvs": phvs,
-        "flows": SHARDED_FLOWS,
-        "shards": shards,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "cells": cells,
-        "speedup_sharded_vs_fused": cells["fused"]["seconds"] / cells["sharded"]["seconds"],
-        "speedup_sharded_vs_generic": cells["generic"]["seconds"] / cells["sharded"]["seconds"],
-        "speedup_shm_vs_pickle": cells["sharded"]["seconds"] / cells["sharded_shm"]["seconds"],
-    }
-
-
 def _ratios(programs: Dict[str, Dict[str, Dict[str, float]]], baseline: str) -> dict:
     if not programs:
         return {"per_program": {}, "geomean": 1.0, "aggregate": 1.0}
@@ -226,14 +153,11 @@ def run_sweep(
     program_names: Optional[Sequence[str]] = None,
     drmt_packets: int = 2000,
     drmt_names: Optional[Sequence[str]] = None,
-    sharded_phvs: int = 0,
-    sharded_workers: int = 4,
 ) -> dict:
     """Sweep programs × levels (plus the dRMT engines) and assemble the record.
 
     ``program_names``/``drmt_names`` default (``None``) to the full program
     sets; pass an explicit empty list to skip that side of the sweep.
-    ``sharded_phvs`` > 0 adds the sharded scaling cell at that trace length.
     """
     names: List[str] = (
         list(program_names) if program_names is not None else list(TABLE1_ORDER)
@@ -281,10 +205,6 @@ def run_sweep(
             name: cells["tick"]["seconds"] / cells["generic"]["seconds"]
             for name, cells in drmt.items()
         }
-    if sharded_phvs > 0:
-        record["sharded"] = measure_sharded_cells(
-            sharded_phvs, rounds, workers=sharded_workers
-        )
     return record
 
 
@@ -333,22 +253,6 @@ def format_table(record: dict) -> str:
             )
             ratio = drmt["speedup_fused_vs_tick"][name]
             lines.append(f"  {name:20s} {rates}fused/tick {ratio:.2f}x")
-    sharded = record.get("sharded")
-    if sharded:
-        lines.append(
-            f"sharded scaling cell ({sharded['program']}, {sharded['phvs']} PHVs, "
-            f"{sharded['shards']} shards, {sharded['workers']} workers, "
-            f"{sharded['cpu_count']} cores):"
-        )
-        rates = "".join(
-            f"{engine} {sharded['cells'][engine]['phvs_per_sec']:>9.0f}/s  "
-            for engine in SHARDED_ENGINES
-        )
-        lines.append(
-            f"  {rates}sharded/fused {sharded['speedup_sharded_vs_fused']:.2f}x, "
-            f"sharded/generic {sharded['speedup_sharded_vs_generic']:.2f}x, "
-            f"shm/pickle {sharded.get('speedup_shm_vs_pickle', 1.0):.2f}x"
-        )
     return "\n".join(lines)
 
 
@@ -368,14 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--drmt-packets", type=int, default=2000, help="packets per dRMT program"
     )
-    parser.add_argument(
-        "--sharded-phvs", type=int, default=1_000_000,
-        help="trace length for the sharded scaling cell (0 skips it)",
-    )
-    parser.add_argument(
-        "--sharded-workers", type=int, default=4,
-        help="worker processes for the sharded scaling cell",
-    )
     parser.add_argument("--output", default="BENCH_PR4.json", help="output JSON path")
     args = parser.parse_args(argv)
 
@@ -385,8 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.rounds,
         names,
         drmt_packets=args.drmt_packets,
-        sharded_phvs=args.sharded_phvs,
-        sharded_workers=args.sharded_workers,
     )
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
     print(format_table(record))

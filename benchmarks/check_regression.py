@@ -13,8 +13,10 @@ script exits 0 unless ``--strict`` is given.
 Compared cells (only keys present in both records are compared):
 
 * per-program RMT throughput at every recorded opt level (PHVs/sec);
-* per-program dRMT throughput under every recorded engine (packets/sec);
-* the sharded scaling cell's engines/transports (PHVs/sec).
+* per-program dRMT throughput under every recorded engine (packets/sec).
+
+Keys only one record carries (such as the ``sharded`` cell of
+``BENCH_PR3.json``/``BENCH_PR4.json``) are skipped.
 
 Usage::
 
@@ -74,15 +76,6 @@ def iter_cells(baseline: dict, current: dict) -> Iterator[Cell]:
                     base_cell["packets_per_sec"],
                     cell["packets_per_sec"],
                 )
-    base_sharded = baseline.get("sharded", {}).get("cells", {})
-    for engine, cell in current.get("sharded", {}).get("cells", {}).items():
-        base_cell = base_sharded.get(engine)
-        if base_cell and "phvs_per_sec" in base_cell and "phvs_per_sec" in cell:
-            yield (
-                f"sharded/{engine}",
-                base_cell["phvs_per_sec"],
-                cell["phvs_per_sec"],
-            )
 
 
 def check(

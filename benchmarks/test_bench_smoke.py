@@ -11,18 +11,10 @@ margin.  The committed ``BENCH_PR2.json`` is produced by the full sweep
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
-from bench_smoke import (
-    DRMT_ENGINES,
-    SHARDED_ENGINES,
-    TICK_BASELINE,
-    format_table,
-    measure_sharded_cells,
-    run_sweep,
-)
+from bench_smoke import DRMT_ENGINES, TICK_BASELINE, format_table, run_sweep
 from repro import dgen
 
 
@@ -79,83 +71,6 @@ def test_fused_rmt_beats_tick_interpreter(bench_rounds):
     )
     ratio = record["speedup_fused_vs_tick"]["per_program"]["sampling"]
     assert ratio > 1.5, f"fused RMT only {ratio:.2f}x over the tick interpreter"
-
-
-@pytest.mark.bench_smoke
-def test_sharded_cell_record_shape(bench_rounds):
-    """The sharded scaling cell measures every engine/transport on a tiny trace.
-
-    In-process here (below the pool threshold) so the shape check stays
-    fast and deterministic on any machine; the committed BENCH_PR4.json
-    carries the full-size pool run.
-    """
-    record = measure_sharded_cells(phvs=2000, rounds=bench_rounds, workers=1)
-    assert set(record["cells"]) == set(SHARDED_ENGINES)
-    for cells in record["cells"].values():
-        assert cells["phvs_per_sec"] > 0
-    assert record["cells"]["sharded"]["engine"] == "sharded[fused]"
-    assert record["cells"]["sharded"]["transport"] == "pickle"
-    assert record["cells"]["sharded_shm"]["engine"] == "sharded[fused]"
-    assert record["cells"]["sharded_shm"]["transport"] == "shm"
-    assert record["cells"]["fused"]["engine"] == "fused"
-    assert record["speedup_sharded_vs_fused"] > 0
-    assert record["speedup_sharded_vs_generic"] > 0
-    assert record["speedup_shm_vs_pickle"] > 0
-    rendered = format_table({**_minimal_record(), "sharded": record})
-    assert "sharded scaling cell" in rendered
-    assert "shm/pickle" in rendered
-
-
-def _minimal_record() -> dict:
-    return {
-        "phvs_per_program": 0,
-        "rounds": 1,
-        "levels": [],
-        "programs": {},
-        "speedup_fused_vs_tick": {"per_program": {}, "geomean": 1.0, "aggregate": 1.0},
-        "speedup_fused_vs_inlining": {"per_program": {}, "geomean": 1.0, "aggregate": 1.0},
-    }
-
-
-@pytest.mark.bench_smoke
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="sharded perf guard needs at least 4 cores",
-)
-def test_sharded_beats_generic_on_the_1m_phv_cell(bench_rounds):
-    """Perf guard: sharded with 4 workers must stay well ahead of generic.
-
-    On a ≥4-core machine the 4-shard pool should beat the single-threaded
-    generic driver by far more than 1.5x on the 1M-PHV flow-counters cell;
-    the loose bound keeps the guard robust to noisy CI machines.  Honors
-    ``DRUZHBA_BENCH_ROUNDS`` like every other cell.
-    """
-    record = measure_sharded_cells(phvs=1_000_000, rounds=bench_rounds, workers=4)
-    ratio = record["speedup_sharded_vs_generic"]
-    assert ratio > 1.5, f"sharded only {ratio:.2f}x over the generic driver"
-
-
-@pytest.mark.bench_smoke
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="shared-memory transport perf guard needs at least 4 cores",
-)
-def test_shm_transport_beats_pickle_on_the_1m_phv_cell(bench_rounds):
-    """Perf guard: the shm transport must beat pickle on the 1M-PHV cell.
-
-    The shared-memory transport exists to cut the pool's pickle-per-shard
-    serialization tax, so on a ≥4-core machine it must come out ahead of the
-    pickle transport on the same sharded configuration.  The margin is
-    parity-plus rather than a hard multiple — the win is the removed
-    serialization, which scales with trace size, not core count — so this
-    guard always uses best-of-3 rounds (noisy shared runners would otherwise
-    flip a few-percent margin at one round).
-    """
-    record = measure_sharded_cells(
-        phvs=1_000_000, rounds=max(bench_rounds, 3), workers=4
-    )
-    ratio = record["speedup_shm_vs_pickle"]
-    assert ratio > 1.0, f"shm transport only {ratio:.2f}x over the pickle transport"
 
 
 @pytest.mark.bench_smoke

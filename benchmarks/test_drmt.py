@@ -18,8 +18,8 @@ from repro.drmt import (
     generate_bundle,
     validate_schedule,
 )
-from repro.drmt.traffic import PacketGenerator, values_field
 from repro.p4 import build_dependency_graph, samples
+from repro.traffic import PacketGenerator, values_field
 
 PROGRAMS = {
     "simple_router": (samples.simple_router, samples.SIMPLE_ROUTER_ENTRIES),

@@ -14,6 +14,7 @@ Four console scripts mirror the paper's tooling:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -22,8 +23,7 @@ from .alu_dsl import grammar, parse_and_analyze
 from .dsim import RMTSimulator, TrafficGenerator
 from .drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
 from .engine.base import ENGINE_CHOICES
-from .engine.transport import TRANSPORT_CHOICES
-from .errors import DruzhbaError, SimulationError
+from .errors import ALUDSLError, DruzhbaError
 from .hardware import PipelineSpec, describe_pipeline
 from .machine_code import MachineCode
 from .programs import all_programs, get_program, program_names
@@ -34,6 +34,11 @@ def _load_alu(name_or_path: str, kind: str):
     """Resolve an ALU argument: a catalogue atom name or a path to a DSL file."""
     if name_or_path in atoms.atom_names():
         return atoms.get_atom(name_or_path)
+    if not os.path.isfile(name_or_path):
+        raise ALUDSLError(
+            f"--{kind}-alu {name_or_path!r} is neither a catalogue atom nor an ALU DSL "
+            f"file; catalogue atoms: {', '.join(atoms.atom_names())}"
+        )
     with open(name_or_path) as handle:
         return parse_and_analyze(handle.read(), name=name_or_path)
 
@@ -86,7 +91,7 @@ def dgen_main(argv: Optional[List[str]] = None) -> int:
         elif args.opt_level != dgen.OPT_UNOPTIMIZED:
             machine_code = spec.passthrough_machine_code()
         description = dgen.generate(spec, machine_code, opt_level=args.opt_level)
-    except DruzhbaError as error:
+    except (DruzhbaError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
@@ -123,30 +128,7 @@ def dsim_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engine", default="auto", choices=ENGINE_CHOICES,
         help="execution driver (auto = fused when available, else the generic "
-             "sequential driver; tick = the paper's per-tick model; sharded = "
-             "partition the trace per flow and run the shards in parallel — "
-             "see --shards/--workers/--shard-key)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for the sharded engine (default 4); with --engine auto, "
-             "setting this enables sharding for large traces",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sharded engine (default: min(shards, cores))",
-    )
-    parser.add_argument(
-        "--shard-key",
-        help="comma-separated PHV container indices identifying a flow (the "
-             "state-indexing fields); omit for contiguous blocks, which the "
-             "state-conflict check only admits for state-free workloads",
-    )
-    parser.add_argument(
-        "--transport", default=None, choices=TRANSPORT_CHOICES,
-        help="how shard data crosses the worker-pool boundary (pickle = the "
-             "default pool serialization; shm = flat shared-memory buffers, "
-             "falling back to pickle when the trace is not flat-packable)",
+             "sequential driver; tick = the paper's per-tick model)",
     )
     args = parser.parse_args(argv)
 
@@ -160,25 +142,9 @@ def dsim_main(argv: Optional[List[str]] = None) -> int:
         traffic = TrafficGenerator(
             num_containers=spec.width, seed=args.seed, max_value=args.max_value
         )
-        shard_key = None
-        if args.shard_key:
-            try:
-                shard_key = [int(container) for container in args.shard_key.split(",")]
-            except ValueError:
-                raise SimulationError(
-                    "--shard-key takes comma-separated PHV container indices, "
-                    f"got {args.shard_key!r}"
-                ) from None
-        simulator = RMTSimulator(
-            description,
-            engine=args.engine,
-            shards=args.shards,
-            workers=args.workers,
-            shard_key=shard_key,
-            transport=args.transport,
-        )
+        simulator = RMTSimulator(description, engine=args.engine)
         result = simulator.run_traffic(traffic, args.phvs)
-    except DruzhbaError as error:
+    except (DruzhbaError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
@@ -266,27 +232,7 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engine", default="auto", choices=ENGINE_CHOICES,
         help="execution driver (auto = the generated fused run_trace when it builds, "
-             "tick = the paper's per-tick processor loop; sharded = partition the "
-             "packet trace per flow and run the shards in parallel)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for the sharded engine (default 4)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sharded engine (default: min(shards, cores))",
-    )
-    parser.add_argument(
-        "--shard-key",
-        help="comma-separated packet field names identifying a flow; defaults to "
-             "the fields the program's register accesses index by",
-    )
-    parser.add_argument(
-        "--transport", default=None, choices=TRANSPORT_CHOICES,
-        help="how shard data crosses the worker-pool boundary (pickle = the "
-             "default pool serialization; shm = flat shared-memory buffers, "
-             "falling back to pickle when the trace is not flat-packable)",
+             "tick = the paper's per-tick processor loop)",
     )
     parser.add_argument(
         "--dump-fused", action="store_true",
@@ -301,12 +247,12 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
             with open(args.p4) as handle:
                 source = handle.read()
             entries = None
-            if args.entries:
-                with open(args.entries) as handle:
-                    entries = handle.read()
         else:
             source = samples.SIMPLE_ROUTER
-            entries = args.entries or samples.SIMPLE_ROUTER_ENTRIES
+            entries = samples.SIMPLE_ROUTER_ENTRIES
+        if args.entries:
+            with open(args.entries) as handle:
+                entries = handle.read()
         hardware = DrmtHardwareParams(
             num_processors=args.processors,
             ticks_per_match=args.ticks_per_match,
@@ -318,18 +264,9 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
             return 0
         print(bundle.describe())
         print(bundle.schedule.describe())
-        shard_key = args.shard_key.split(",") if args.shard_key else None
-        simulator = DRMTSimulator(
-            bundle,
-            table_entries=entries,
-            engine=args.engine,
-            shards=args.shards,
-            workers=args.workers,
-            shard_key=shard_key,
-            transport=args.transport,
-        )
+        simulator = DRMTSimulator(bundle, table_entries=entries, engine=args.engine)
         result = simulator.run_traffic(args.packets, seed=args.seed)
-    except DruzhbaError as error:
+    except (DruzhbaError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

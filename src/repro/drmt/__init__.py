@@ -7,6 +7,7 @@ a traffic generator, using centralised tables populated from a table-entry
 configuration file.
 """
 
+from ..traffic import PacketGenerator, values_field
 from .codegen import DrmtProgramBundle, StaticAnalysis, analyze_program, generate_bundle
 from .fused import DrmtFusedProgram, generate_fused, run_to_completion_hazard
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
@@ -23,7 +24,6 @@ from .scheduler import (
 from .simulator import DRMTSimulator, DrmtPacketRecord, DrmtSimulationResult
 from .table_config import load_entries, parse_entries, parse_entry_line, populate_store
 from .tables import MatchActionTable, MatchPattern, TableEntry, TableStore
-from .traffic import PacketGenerator, values_field
 
 __all__ = [
     "DrmtHardwareParams",

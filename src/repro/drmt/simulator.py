@@ -17,16 +17,9 @@ ladder:
 * **fused** — the bundle's generated ``run_trace`` loop, which replays the
   tick interpreter's exact cross-packet interleaving and is faithful for
   any program; the default whenever generation succeeds.
-* **sharded** — the meta-driver of :mod:`repro.engine.sharded`: packets are
-  hash-partitioned by the program's *state-indexing fields* (the packet
-  fields its register accesses index by, derived automatically, or an
-  explicit ``shard_key``), each shard runs under the fused or generic
-  sequential driver on private register/table-counter copies, and the
-  results are merged back — register arrays cell by cell under a conflict
-  check, hit/miss counters summed, records renumbered to input order.
-  ``engine="auto"`` reaches for it above ``shard_threshold`` packets when
-  sharding knobs are configured and falls back to the unsharded driver on a
-  state conflict; ``engine="sharded"`` raises on conflict instead.
+
+``auto`` therefore tries fused, then the hazard-gated generic driver, then
+tick; every driver runs in the calling process.
 
 Sequential drivers report per-run (not cumulative) per-processor statistics;
 reusing one simulator for several runs keeps accumulating register and
@@ -39,11 +32,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DruzhbaError, SimulationError
+from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
 from .table_config import parse_entries, populate_store
 from .tables import TableEntry, TableStore
-from .traffic import PacketGenerator
 
 
 @dataclass
@@ -126,32 +119,10 @@ class DRMTSimulator:
         table_entries: Union[str, Sequence[Tuple[str, TableEntry]], None] = None,
         register_dump_limit: int = 16,
         engine: str = "auto",
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
-        shard_key: Optional[Sequence[str]] = None,
-        shard_threshold: Optional[int] = None,
-        shard_pool_threshold: Optional[int] = None,
-        transport: Optional[str] = None,
     ):
-        from ..engine.transport import resolve_transport
-
         self.bundle = bundle
         self.register_dump_limit = register_dump_limit
         self.engine = engine
-        if shards is not None and shards < 1:
-            raise SimulationError(f"shard count must be at least 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise SimulationError(f"worker count must be at least 1, got {workers}")
-        self.shards = shards
-        self.workers = workers
-        self.shard_key = shard_key
-        self.shard_threshold = shard_threshold
-        self.shard_pool_threshold = shard_pool_threshold
-        # Resolved eagerly so an invalid transport name fails at construction.
-        self.transport = resolve_transport(transport)
-        # Set once sharding this bundle proved impossible (no sequential
-        # inner driver) or conflicted: auto stops attempting it.
-        self._auto_shard_conflict = False
         self.tables = TableStore(bundle.program)
         if table_entries is not None:
             if isinstance(table_entries, str):
@@ -189,18 +160,13 @@ class DRMTSimulator:
         ``(packet_id, processor, tick, fields)`` after every (packet, cycle)
         execution.
         """
-        mode = self._resolve_mode(
-            tick_accurate,
-            input_size=len(packets) if self.engine in ("auto", "sharded") else None,
-        )
+        mode = self._resolve_mode(tick_accurate)
         if observer is not None and mode != "fused":
             raise SimulationError(
                 f"snapshot observers require the fused engine, not {mode!r}"
             )
         if mode == "tick":
             return self._run_tick(packets)
-        if mode == "sharded":
-            return self._run_sharded(packets)
         return self._run_sequential(packets, mode, observer)
 
     # Engine-protocol alias: packet dicts in, result out.
@@ -237,76 +203,9 @@ class DRMTSimulator:
             engine=mode,
         )
 
-    def _run_sharded(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
-        """Run the trace under the sharded meta-driver (see repro.engine.sharded).
-
-        Under ``engine="auto"`` a shard-state conflict (or an unshardable
-        program) falls back to the unsharded sequential driver; an explicit
-        ``engine="sharded"`` propagates the error instead.
-        """
-        from ..engine import drmt as drivers
-        from ..engine import sharded as sharded_engine
-
-        try:
-            driver = sharded_engine.ShardedDrmtDriver(
-                self.bundle,
-                self.tables,
-                self.registers,
-                shards=(
-                    self.shards if self.shards is not None else sharded_engine.DEFAULT_SHARDS
-                ),
-                workers=self.workers,
-                key=self.shard_key,
-                pool_threshold=(
-                    self.shard_pool_threshold
-                    if self.shard_pool_threshold is not None
-                    else sharded_engine.DEFAULT_POOL_THRESHOLD
-                ),
-                transport=self.transport,
-            )
-        except SimulationError:
-            if self.engine != "auto":
-                raise
-            self._auto_shard_conflict = True
-            return self._run_fallback(packets)
-        inputs, work = drivers.prepare_packets(packets)
-        try:
-            fields, dropped = driver.run(work)
-        except sharded_engine.ShardStateConflictError:
-            if self.engine != "auto":
-                raise
-            self._auto_shard_conflict = True
-            return self._run_fallback(packets)
-        return drivers.assemble_result(
-            self.bundle,
-            self.tables,
-            self.registers,
-            inputs,
-            fields,
-            dropped,
-            self.register_dump_limit,
-            engine=driver.engine_name,
-        )
-
-    def _run_fallback(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
-        """Unsharded rerun after the sharded driver declined the trace."""
-        mode = self._resolve_mode(False, input_size=None, allow_sharded=False)
-        if mode == "tick":
-            return self._run_tick(packets)
-        return self._run_sequential(packets, mode)
-
-    def _resolve_mode(
-        self,
-        tick_accurate: bool,
-        input_size: Optional[int] = None,
-        allow_sharded: bool = True,
-    ) -> str:
+    def _resolve_mode(self, tick_accurate: bool) -> str:
         """dRMT-specific engine selection (generic is gated by the hazard analysis)."""
-        from ..engine.base import (
-            DEFAULT_SHARD_AUTO_THRESHOLD,
-            ENGINE_CHOICES,
-            auto_shard_eligible,
-        )
+        from ..engine.base import ENGINE_CHOICES
         from .fused import run_to_completion_hazard
 
         if self.engine not in ENGINE_CHOICES:
@@ -315,26 +214,7 @@ class DRMTSimulator:
             )
         if tick_accurate or self.engine == "tick":
             return "tick"
-        if self.engine == "sharded":
-            return "sharded"
         if self.engine == "auto":
-            sharding_configured = (
-                self.shards is not None
-                or self.workers is not None
-                or self.shard_key is not None
-            )
-            if (
-                allow_sharded
-                and not self._auto_shard_conflict
-                and auto_shard_eligible(
-                    sharding_configured,
-                    input_size,
-                    self.shard_threshold
-                    if self.shard_threshold is not None
-                    else DEFAULT_SHARD_AUTO_THRESHOLD,
-                )
-            ):
-                return "sharded"
             try:
                 self.bundle.fused_program()
                 return "fused"

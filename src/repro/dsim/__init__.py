@@ -6,18 +6,18 @@ flight advance one stage (modelled with read/write PHV halves), and the
 output trace records the modified PHVs and the state vectors.
 """
 
-from .phv import PHV
-from .pipeline import Pipeline
-from .reference import ReferenceSimulator, ReferenceStage
-from .simulator import RMTSimulator, SimulationResult, simulate
-from .trace import Trace, TraceRecord
-from .traffic import (
+from ..traffic import (
     DEFAULT_MAX_VALUE,
     TrafficGenerator,
     choice_field,
     constant_field,
     uniform_field,
 )
+from .phv import PHV
+from .pipeline import Pipeline
+from .reference import ReferenceSimulator, ReferenceStage
+from .simulator import RMTSimulator, SimulationResult, simulate
+from .trace import Trace, TraceRecord
 
 __all__ = [
     "PHV",

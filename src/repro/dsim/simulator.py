@@ -6,7 +6,7 @@ generator), runs the feedforward pipeline, and returns the output trace
 together with the final state vectors.
 
 Execution is delegated to the unified engine layer (:mod:`repro.engine`),
-which provides three drivers:
+which provides three drivers, all running in the calling process:
 
 * **tick** — the paper's §3.3 model: one PHV enters per tick, PHVs in flight
   advance one stage per tick with read/write-half commits.  Always
@@ -19,54 +19,26 @@ which provides three drivers:
 * **fused** — the generated ``run_trace`` loop carried by descriptions
   produced at opt level 3, where the simulation driver itself is generated
   code.  The default whenever available.
-* **sharded** — the meta-driver of :mod:`repro.engine.sharded`: the trace is
-  partitioned into per-flow shards (``shard_key`` names the flow-identifying
-  containers; without one, contiguous blocks valid only for state-free
-  workloads), each shard runs under the fastest sequential driver — across a
-  ``multiprocessing`` pool for large traces — and the results are merged
-  back into input order under a state-conflict check.  ``engine="auto"``
-  reaches for it automatically once the trace exceeds ``shard_threshold``
-  inputs *and* sharding knobs (``shards=``/``workers=``/``shard_key=``) were
-  configured, falling back to the unsharded driver when the merge detects a
-  state conflict; ``engine="sharded"`` requests it explicitly and raises on
-  conflict instead.
 
 The ``engine`` constructor argument pins a driver explicitly (``"tick"``,
-``"generic"``, ``"fused"``, ``"sharded"``) or leaves the choice to the
-selection rules (``"auto"``).
+``"generic"``, ``"fused"``) or leaves the choice to the selection rules
+(``"auto"``: fused when the description carries it, else generic).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..engine.base import (
-    DEFAULT_SHARD_AUTO_THRESHOLD,
-    ENGINE_AUTO,
-    ENGINE_FUSED,
-    ENGINE_GENERIC,
-    ENGINE_SHARDED,
-    ENGINE_TICK,
-    resolve_engine,
-)
+from ..engine.base import ENGINE_AUTO, ENGINE_GENERIC, ENGINE_TICK, resolve_engine
 from ..engine.result import SimulationResult
 from ..errors import SimulationError
-from .traffic import TrafficGenerator
+from ..traffic import TrafficGenerator
 
 __all__ = ["RMTSimulator", "SimulationResult", "simulate"]
 
 
 class RMTSimulator:
-    """Runs PHV traces through a compiled pipeline description.
-
-    ``shards``/``workers``/``shard_key`` configure the sharded meta-driver
-    (see the module docstring); ``shard_threshold`` is the input count at
-    which ``engine="auto"`` starts sharding, ``shard_pool_threshold`` the
-    count below which shards run in process rather than across a pool, and
-    ``transport`` how shard data crosses the pool boundary (``"pickle"``,
-    the default, or ``"shm"`` for flat shared-memory buffers — see
-    :mod:`repro.engine.transport`).
-    """
+    """Runs PHV traces through a compiled pipeline description."""
 
     def __init__(
         self,
@@ -74,60 +46,11 @@ class RMTSimulator:
         runtime_values: Optional[Dict[str, int]] = None,
         initial_state: Optional[List[List[List[int]]]] = None,
         engine: str = ENGINE_AUTO,
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
-        shard_key: Optional[Sequence[int]] = None,
-        shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
-        shard_pool_threshold: Optional[int] = None,
-        transport: Optional[str] = None,
     ):
-        from ..engine.transport import resolve_transport
-
         self.description = description
         self.engine = engine
         self._runtime_values = runtime_values
         self._initial_state = initial_state
-        if shards is not None and shards < 1:
-            raise SimulationError(f"shard count must be at least 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise SimulationError(f"worker count must be at least 1, got {workers}")
-        self.shards = shards
-        self.workers = workers
-        self.shard_key = shard_key
-        self.shard_threshold = shard_threshold
-        self.shard_pool_threshold = shard_pool_threshold
-        # Resolved eagerly so an invalid transport name fails at construction.
-        self.transport = resolve_transport(transport)
-        # Set once a conflict forced a fallback: auto stops attempting the
-        # doomed sharded run (and its full-trace rerun) for this simulator.
-        self._auto_shard_conflict = False
-
-    def _sharding_configured(self) -> bool:
-        return (
-            self.shards is not None
-            or self.workers is not None
-            or self.shard_key is not None
-            or self.engine == ENGINE_SHARDED
-        )
-
-    def _sharded_driver(self):
-        from ..engine import sharded
-
-        return sharded.ShardedRmtDriver(
-            self.description,
-            runtime_values=self._runtime_values,
-            initial_state=self._initial_state_copy(),
-            shards=self.shards if self.shards is not None else sharded.DEFAULT_SHARDS,
-            workers=self.workers,
-            key=self.shard_key,
-            on_conflict="raise",
-            pool_threshold=(
-                self.shard_pool_threshold
-                if self.shard_pool_threshold is not None
-                else sharded.DEFAULT_POOL_THRESHOLD
-            ),
-            transport=self.transport,
-        )
 
     # ------------------------------------------------------------------
     # Running
@@ -145,37 +68,12 @@ class RMTSimulator:
         """
         from ..engine import rmt as drivers
 
-        sharding = self._sharding_configured()
         mode = resolve_engine(
             self.engine,
             fused_available=self.description.fused_function is not None,
             tick_accurate=tick_accurate,
             context="pipeline description",
-            sharded_available=sharding,
-            # A remembered conflict disables the auto selection (input size
-            # unknown) without making an explicit request unavailable.
-            input_size=(
-                len(phv_values) if sharding and not self._auto_shard_conflict else None
-            ),
-            shard_threshold=self.shard_threshold,
         )
-        if mode == ENGINE_SHARDED:
-            from ..engine.sharded import ShardStateConflictError
-
-            driver = self._sharded_driver()
-            if self.engine != ENGINE_AUTO:
-                return driver.run(phv_values)
-            try:
-                return driver.run(phv_values)
-            except ShardStateConflictError:
-                # Remember the conflict so later auto runs skip the doomed
-                # sharded attempt, and fall through to the unsharded driver.
-                self._auto_shard_conflict = True
-                mode = (
-                    ENGINE_FUSED
-                    if self.description.fused_function is not None
-                    else ENGINE_GENERIC
-                )
         if mode == ENGINE_TICK:
             return drivers.run_tick(
                 self.description, phv_values, self._runtime_values, self._initial_state_copy()
@@ -212,10 +110,6 @@ def simulate(
     runtime_values: Optional[Dict[str, int]] = None,
     initial_state: Optional[List[List[List[int]]]] = None,
     engine: str = ENGINE_AUTO,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    shard_key: Optional[Sequence[int]] = None,
-    transport: Optional[str] = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`RMTSimulator`."""
     simulator = RMTSimulator(
@@ -223,9 +117,5 @@ def simulate(
         runtime_values=runtime_values,
         initial_state=initial_state,
         engine=engine,
-        shards=shards,
-        workers=workers,
-        shard_key=shard_key,
-        transport=transport,
     )
     return simulator.run(phv_values)

@@ -18,7 +18,9 @@ same three-driver ladder:
 
 :func:`repro.engine.base.resolve_engine` implements the selection rules
 (``auto`` prefers fused, then generic; ``tick_accurate=True`` always forces
-the tick driver), and every simulator facade —
+the tick driver; on dRMT, ``auto`` only takes generic when the static hazard
+analysis proves it faithful, else tick).  Every driver runs in the calling
+process, and every simulator facade —
 :class:`repro.dsim.RMTSimulator`, :class:`repro.drmt.DRMTSimulator` and
 :class:`repro.engine.rtc.RunToCompletionSimulator` — satisfies the
 :class:`~repro.engine.base.ExecutionEngine` protocol: a common
@@ -27,12 +29,10 @@ that names the driver that produced it.
 """
 
 from .base import (
-    DEFAULT_SHARD_AUTO_THRESHOLD,
     ENGINE_AUTO,
     ENGINE_CHOICES,
     ENGINE_FUSED,
     ENGINE_GENERIC,
-    ENGINE_SHARDED,
     ENGINE_TICK,
     ExecutionEngine,
     available_engines,
@@ -41,32 +41,13 @@ from .base import (
 from .result import SimulationResult, sequential_result
 from .rmt import push_phv, run_stage_loop, stage_pairs
 from .rtc import RunToCompletionSimulator
-from .sharded import (
-    ShardedDrmtDriver,
-    ShardedRmtDriver,
-    ShardPlan,
-    ShardStateConflictError,
-    plan_shards,
-    stable_flow_hash,
-)
-from .transport import (
-    TRANSPORT_CHOICES,
-    TRANSPORT_PICKLE,
-    TRANSPORT_SHM,
-    PickleTransport,
-    SharedMemoryTransport,
-    ShardTransport,
-    resolve_transport,
-)
 
 __all__ = [
     "ENGINE_AUTO",
     "ENGINE_TICK",
     "ENGINE_GENERIC",
     "ENGINE_FUSED",
-    "ENGINE_SHARDED",
     "ENGINE_CHOICES",
-    "DEFAULT_SHARD_AUTO_THRESHOLD",
     "ExecutionEngine",
     "available_engines",
     "resolve_engine",
@@ -76,17 +57,4 @@ __all__ = [
     "push_phv",
     "run_stage_loop",
     "RunToCompletionSimulator",
-    "ShardPlan",
-    "ShardStateConflictError",
-    "ShardedDrmtDriver",
-    "ShardedRmtDriver",
-    "plan_shards",
-    "stable_flow_hash",
-    "TRANSPORT_CHOICES",
-    "TRANSPORT_PICKLE",
-    "TRANSPORT_SHM",
-    "PickleTransport",
-    "SharedMemoryTransport",
-    "ShardTransport",
-    "resolve_transport",
 ]

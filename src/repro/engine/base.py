@@ -1,7 +1,7 @@
 """Execution-engine protocol and driver-selection rules.
 
 An *execution engine* runs a compiled program on an input trace.  The layer
-recognises four drivers, forming a ladder from most faithful to fastest:
+recognises three drivers, forming a ladder from most faithful to fastest:
 
 ``tick``
     The cycle-accurate interpreter of the paper (§3.3 for RMT, §4.2 for
@@ -14,27 +14,15 @@ recognises four drivers, forming a ladder from most faithful to fastest:
 ``fused``
     The generated ``run_trace`` loop (the driver itself is generated code).
     Available when the program was generated with a fused entry point.
-``sharded``
-    A meta-driver (:mod:`repro.engine.sharded`) that partitions the input
-    trace into per-flow shards, runs every shard under the fastest
-    sequential driver (fused, else generic) — across a ``multiprocessing``
-    pool when the trace is large enough and the program picklable — and
-    deterministically merges the per-shard results under the read-tracked
-    state-conflict rule.  How shard data crosses the pool boundary is a
-    *transport* choice (:mod:`repro.engine.transport`): the default pickle
-    channel, or flat shared-memory buffers (``transport="shm"``).
-    Available when the simulator facade was configured with sharding knobs.
 
-``auto`` resolves to the fastest available driver (sharded when configured
-and the trace is at least :data:`DEFAULT_SHARD_AUTO_THRESHOLD` inputs long,
-else fused, else generic); ``tick_accurate=True`` on a ``run`` call always
-forces the tick driver, no matter which engine the simulator was configured
-with.
+``auto`` resolves to the fastest available driver (fused, else generic);
+``tick_accurate=True`` on a ``run`` call always forces the tick driver, no
+matter which engine the simulator was configured with.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from ..errors import SimulationError
 
@@ -43,13 +31,7 @@ ENGINE_AUTO = "auto"
 ENGINE_TICK = "tick"
 ENGINE_GENERIC = "generic"
 ENGINE_FUSED = "fused"
-ENGINE_SHARDED = "sharded"
-ENGINE_CHOICES = (ENGINE_AUTO, ENGINE_TICK, ENGINE_GENERIC, ENGINE_FUSED, ENGINE_SHARDED)
-
-#: ``auto`` only reaches for the sharded meta-driver at or above this many
-#: inputs: below it the partition/merge overhead (and, across a pool, the
-#: per-worker program compilation) dominates any win.
-DEFAULT_SHARD_AUTO_THRESHOLD = 200_000
+ENGINE_CHOICES = (ENGINE_AUTO, ENGINE_TICK, ENGINE_GENERIC, ENGINE_FUSED)
 
 
 @runtime_checkable
@@ -66,32 +48,11 @@ class ExecutionEngine(Protocol):
         ...
 
 
-def auto_shard_eligible(
-    sharded_available: bool,
-    input_size: Optional[int],
-    shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
-) -> bool:
-    """The one auto-selection rule for the sharded meta-driver.
-
-    Shared by every facade so the policy cannot drift: ``auto`` reaches for
-    sharding only when the facade carries a sharding configuration and the
-    trace is known to hold at least ``shard_threshold`` inputs.
-    """
-    return (
-        sharded_available and input_size is not None and input_size >= shard_threshold
-    )
-
-
-def available_engines(
-    fused_available: bool, sharded_available: bool = False
-) -> tuple:
+def available_engines(fused_available: bool) -> tuple:
     """The drivers a compiled program can actually run under, in ladder order."""
-    available = [ENGINE_TICK, ENGINE_GENERIC]
     if fused_available:
-        available.append(ENGINE_FUSED)
-    if sharded_available:
-        available.append(ENGINE_SHARDED)
-    return tuple(available)
+        return (ENGINE_TICK, ENGINE_GENERIC, ENGINE_FUSED)
+    return (ENGINE_TICK, ENGINE_GENERIC)
 
 
 def resolve_engine(
@@ -99,22 +60,17 @@ def resolve_engine(
     fused_available: bool,
     tick_accurate: bool = False,
     context: str = "pipeline",
-    sharded_available: bool = False,
-    input_size: Optional[int] = None,
-    shard_threshold: int = DEFAULT_SHARD_AUTO_THRESHOLD,
 ) -> str:
     """Resolve a requested engine name to a concrete driver.
 
     Selection rules:
 
     * ``tick_accurate=True`` always wins and selects ``tick``;
-    * ``auto`` selects ``sharded`` when the facade carries a sharding
-      configuration (``sharded_available``) and the trace is known to hold at
-      least ``shard_threshold`` inputs, else ``fused`` when the compiled
-      program carries a fused entry point, otherwise ``generic``;
-    * ``fused`` or ``sharded`` requested explicitly raises
-      :class:`SimulationError` when unavailable (instead of silently
-      degrading), naming the drivers that *are* available for the program.
+    * ``auto`` selects ``fused`` when the compiled program carries a fused
+      entry point, otherwise ``generic``;
+    * ``fused`` requested explicitly raises :class:`SimulationError` when
+      unavailable (instead of silently degrading), naming the drivers that
+      *are* available for the program.
     """
     if requested not in ENGINE_CHOICES:
         raise SimulationError(
@@ -122,24 +78,13 @@ def resolve_engine(
         )
     if tick_accurate:
         return ENGINE_TICK
-    available = available_engines(fused_available, sharded_available)
     if requested == ENGINE_AUTO:
-        if auto_shard_eligible(sharded_available, input_size, shard_threshold):
-            return ENGINE_SHARDED
         return ENGINE_FUSED if fused_available else ENGINE_GENERIC
+    available = available_engines(fused_available)
     if requested not in available:
-        hint = (
-            "generate at opt level 3, or use engine='auto'"
-            if requested == ENGINE_FUSED
-            else "configure the simulator with shards=/workers=, or use engine='auto'"
-        )
-        reason = (
-            "carries no fused run_trace entry point"
-            if requested == ENGINE_FUSED
-            else "has no sharding configuration"
-        )
         raise SimulationError(
-            f"the {requested} engine was requested but this {context} {reason} "
-            f"({hint}); available drivers for this {context}: {', '.join(available)}"
+            f"the {requested} engine was requested but this {context} carries no fused "
+            "run_trace entry point (generate at opt level 3, or use engine='auto'); "
+            f"available drivers for this {context}: {', '.join(available)}"
         )
     return requested

@@ -20,22 +20,10 @@ The module-level helpers :func:`stage_pairs`, :func:`push_phv` and
 :func:`run_stage_loop` are the generic driver's core; the Chipmunk CEGIS
 candidate evaluator reuses them so synthesis and simulation share one
 sequential execution path.
-
-:class:`RmtShardHandle` is the sharded meta-driver's picklable view of a
-compiled description: a :class:`~repro.dgen.emit.PipelineDescription` itself
-carries an executed module namespace (functions created by ``exec``) and
-cannot cross a process boundary, but its *source text* can — a handle ships
-the source plus the resolved runtime values, and every worker compiles it
-once into a process-local namespace cache.  The handle is transport-neutral:
-the pickle transport ships it next to each shard's trace slice, while the
-shm transport (:mod:`repro.engine.transport`) ships only the handle and a
-shared-buffer view, reconstructing ``work``/``state`` worker-side before
-calling :meth:`RmtShardHandle.run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dgen.emit import PipelineDescription
@@ -183,86 +171,4 @@ def run_fused(
         outputs = fused(work, state, values, observer)
     return sequential_result(
         inputs, outputs, state, description.spec.depth, ENGINE_FUSED
-    )
-
-
-# ----------------------------------------------------------------------
-# Shard-local execution (the sharded meta-driver's per-shard entry point)
-# ----------------------------------------------------------------------
-#: Process-local cache of executed description namespaces, keyed by source
-#: text.  Seeded by the parent with the already-executed namespace, so the
-#: in-process path (and, on fork platforms, every pool worker) never
-#: recompiles; a spawn-started worker compiles each distinct source once.
-_NAMESPACE_CACHE: Dict[str, Dict[str, object]] = {}
-
-
-def seed_namespace_cache(source: str, namespace: Dict[str, object]) -> None:
-    """Register an already-executed description namespace for its source text."""
-    _NAMESPACE_CACHE.setdefault(source, namespace)
-
-
-def _namespace_for(source: str) -> Dict[str, object]:
-    namespace = _NAMESPACE_CACHE.get(source)
-    if namespace is None:
-        namespace = {"__name__": "druzhba_shard_description"}
-        exec(compile(source, "<druzhba_shard_description>", "exec"), namespace)  # noqa: S102
-        _NAMESPACE_CACHE[source] = namespace
-    return namespace
-
-
-@dataclass(frozen=True)
-class RmtShardHandle:
-    """Picklable handle to one compiled pipeline description.
-
-    ``mode`` names the sequential driver the shard runs under
-    (:data:`ENGINE_GENERIC` or :data:`ENGINE_FUSED`); ``values`` is the
-    resolved runtime-values dict (needed by unoptimised descriptions that
-    look machine code up at runtime).
-    """
-
-    source: str
-    mode: str
-    values: Dict[str, int] = field(default_factory=dict)
-
-    def run(
-        self, work: List[List[int]], state: List[List[List[int]]]
-    ) -> Tuple[List[Sequence[int]], List[List[List[int]]]]:
-        """Run one shard's PHVs to completion; returns (outputs, final state).
-
-        ``work`` must already be width-validated and integer-coerced (the
-        parent's :func:`prepare_inputs` did both before partitioning) and
-        ``state`` is the shard's private state copy, mutated in place.
-        """
-        namespace = _namespace_for(self.source)
-        if self.mode == ENGINE_FUSED:
-            fused = namespace.get("RUN_TRACE")
-            if not callable(fused):  # pragma: no cover - guarded at plan time
-                raise SimulationError("shard handle source carries no RUN_TRACE")
-            outputs = fused(work, state, self.values)
-        else:
-            functions = namespace.get("STAGE_FUNCTIONS")
-            if not isinstance(functions, list):  # pragma: no cover - guarded at plan time
-                raise SimulationError("shard handle source carries no STAGE_FUNCTIONS")
-            outputs = run_stage_loop(functions, work, state, self.values)
-        return outputs, state
-
-
-def shard_handle(
-    description: PipelineDescription,
-    mode: str,
-    values: Optional[Dict[str, int]] = None,
-) -> RmtShardHandle:
-    """Build the picklable shard handle for a description and seed the cache."""
-    if mode not in (ENGINE_GENERIC, ENGINE_FUSED):
-        raise SimulationError(f"shards run under generic or fused drivers, not {mode!r}")
-    if mode == ENGINE_FUSED and description.fused_function is None:
-        raise SimulationError(
-            "description carries no fused run_trace entry point "
-            f"(opt level {description.opt_level})"
-        )
-    seed_namespace_cache(description.source, description.namespace)
-    return RmtShardHandle(
-        source=description.source,
-        mode=mode,
-        values=values if values is not None else description.runtime_values(),
     )

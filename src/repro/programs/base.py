@@ -19,11 +19,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import atoms
 from ..chipmunk.allocation import MachineCodeBuilder
-from ..dsim.traffic import TrafficGenerator
 from ..errors import DruzhbaError
 from ..hardware import PipelineSpec
 from ..machine_code.pairs import MachineCode
 from ..testing.spec import FunctionSpecification, Specification
+from ..traffic import TrafficGenerator
 
 #: Signature of a program's spec function: (phv values, mutable state) -> outputs.
 SpecFunction = Callable[[List[int], Dict[str, int]], List[int]]

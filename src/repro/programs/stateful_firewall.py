@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..chipmunk.allocation import MachineCodeBuilder
-from ..dsim.traffic import choice_field
 from ..machine_code import naming
+from ..traffic import choice_field
 from .base import BenchmarkProgram
 
 DOMINO_SOURCE = """

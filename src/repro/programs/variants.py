@@ -8,8 +8,11 @@ decrement) consistently in both the machine code and the high-level
 specification, so every member is an independent machine-code program with
 its own oracle.
 
-Each factory returns a :class:`~repro.programs.base.BenchmarkProgram`, so the
-corpus members plug into the same fuzzing machinery as the Table-1 programs.
+The families are :func:`make_sampling_variant`,
+:func:`make_accumulator_variant`, :func:`make_threshold_variant` and
+:func:`make_blue_decrease_variant`.  Each factory returns a
+:class:`~repro.programs.base.BenchmarkProgram`, so the corpus members plug
+into the same fuzzing machinery as the Table-1 programs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Dict, List
 
 from ..chipmunk.allocation import MachineCodeBuilder
 from ..machine_code import naming
-from ..traffic import choice_field
 from .base import BenchmarkProgram
 
 
@@ -142,230 +144,6 @@ def make_threshold_variant(threshold: int, machine_code_threshold: int | None = 
         build_machine_code=build,
         state_template={},
         relevant_containers=[0],
-    )
-
-
-def make_flow_counters_variant(flows: int, op: str = "+") -> BenchmarkProgram:
-    """Per-flow payload accumulators: the flow-partitionable workload family.
-
-    Container 0 carries a flow identifier in ``[0, flows)``, container 1 a
-    payload.  Stage 0 computes one indicator per flow (``flow == k``) into
-    container ``2 + k``; stage 1 holds one ``pred_raw`` accumulator per flow
-    that folds the payload into its state only when its indicator fired.
-    Every state cell is therefore written by exactly one flow — the machine
-    model's rendition of flow-indexed state — which makes this family the
-    reference workload for the sharded driver: hash-partitioning the trace
-    by container 0 gives each shard exclusive ownership of its flows' state
-    cells, so a sharded run is bit-for-bit the sequential run.
-
-    ``op`` is the accumulator's arithmetic (``"+"`` or ``"-"``).
-    """
-    if flows < 1:
-        raise ValueError("need at least one flow")
-    if op not in ("+", "-"):
-        raise ValueError("accumulator op must be '+' or '-'")
-    width = flows + 2
-
-    def spec(phv: List[int], state: Dict[str, int]) -> List[int]:
-        outputs = list(phv)
-        flow = phv[0]
-        for k in range(flows):
-            outputs[2 + k] = 1 if flow == k else 0
-        if 0 <= flow < flows:
-            delta = phv[1] if op == "+" else -phv[1]
-            state[f"flow_{flow}"] = state[f"flow_{flow}"] + delta
-        return outputs
-
-    def build(builder: MachineCodeBuilder) -> None:
-        for k in range(flows):
-            # Stage 0: indicator k = (flow == k).
-            builder.configure_stateless_full(
-                stage=0,
-                slot=k,
-                mode="rel",
-                op="==",
-                a=("pkt", 0),
-                b=("const", k),
-                input_containers=[0, 0],
-            )
-            builder.route_output(stage=0, container=2 + k, kind=naming.STATELESS, slot=k)
-            # Stage 1: accumulator k folds the payload in when indicator k fired.
-            builder.configure_pred_raw(
-                stage=1,
-                slot=k,
-                cond=("<", False, ("pkt", 0)),  # 0 < indicator
-                update=(op, True, ("pkt", 1)),  # state = state op payload
-                input_containers=[2 + k, 1],
-            )
-
-    return BenchmarkProgram(
-        name=f"flow_counters_{flows}{'' if op == '+' else '_sub'}",
-        display_name=f"Flow counters ({flows} flows, {op})",
-        depth=2,
-        width=width,
-        stateful_atom="pred_raw",
-        description=(
-            f"{flows} per-flow payload accumulators with flow-exclusive state cells; "
-            "the flow-partitionable reference workload for the sharded driver."
-        ),
-        spec_function=spec,
-        build_machine_code=build,
-        state_template={f"flow_{k}": 0 for k in range(flows)},
-        relevant_containers=list(range(2, width)),
-        field_generators=[choice_field(range(flows)), None] + [None] * flows,
-    )
-
-
-def make_flow_counters_readers_variant(
-    flows: int, thresholds: "List[int] | None" = None
-) -> BenchmarkProgram:
-    """Flow counters plus *read-only* state exposed in every packet's outputs.
-
-    The flow-local-reader workload for the sharded driver's read-set rule:
-    stages 0-1 are exactly :func:`make_flow_counters_variant` (per-flow
-    ``pred_raw`` accumulators, state cells flow-owned), and stage 2 adds one
-    configuration cell per flow — a ``pred_raw`` whose condition never fires
-    (``0 < 0``), so its state holds the per-flow threshold loaded at start
-    — with its ALU output routed into container ``2 + k``.  Every packet
-    therefore *reads* state into its outputs (the routed value is the
-    pre-update ``state_0``), which PR 3's whole-state strict rule treated as
-    unshardable; the per-cell read-set analysis sees that the exposed cells
-    ``(2, k)`` are never written while the written cells ``(1, k)`` are
-    never exposed, so the program shards legally and bit-for-bit.
-    """
-    if flows < 1:
-        raise ValueError("need at least one flow")
-    if thresholds is None:
-        thresholds = [101 + 13 * k for k in range(flows)]
-    if len(thresholds) != flows:
-        raise ValueError("one threshold per flow is required")
-    width = flows + 2
-
-    def spec(phv: List[int], state: Dict[str, int]) -> List[int]:
-        outputs = list(phv)
-        flow = phv[0]
-        for k in range(flows):  # stage 0: indicators
-            outputs[2 + k] = 1 if flow == k else 0
-        if 0 <= flow < flows:  # stage 1: flow-owned accumulators
-            state[f"flow_{flow}"] = state[f"flow_{flow}"] + phv[1]
-        for k in range(flows):  # stage 2: read-only thresholds exposed
-            outputs[2 + k] = thresholds[k]
-        return outputs
-
-    def build(builder: MachineCodeBuilder) -> None:
-        for k in range(flows):
-            builder.configure_stateless_full(
-                stage=0,
-                slot=k,
-                mode="rel",
-                op="==",
-                a=("pkt", 0),
-                b=("const", k),
-                input_containers=[0, 0],
-            )
-            builder.route_output(stage=0, container=2 + k, kind=naming.STATELESS, slot=k)
-            builder.configure_pred_raw(
-                stage=1,
-                slot=k,
-                cond=("<", False, ("pkt", 0)),  # 0 < indicator
-                update=("+", True, ("pkt", 1)),  # state += payload
-                input_containers=[2 + k, 1],
-            )
-            # Stage 2: a never-updated config cell, its state routed into the
-            # packet — a pure read of flow k's threshold.
-            builder.configure_pred_raw(
-                stage=2,
-                slot=k,
-                cond=("<", False, ("const", 0)),  # 0 < 0: never fires
-                update=("+", True, ("const", 0)),
-                input_containers=[0, 0],
-            )
-            builder.route_output(stage=2, container=2 + k, kind=naming.STATEFUL, slot=k)
-
-    return BenchmarkProgram(
-        name=f"flow_counters_readers_{flows}",
-        display_name=f"Flow counters + readers ({flows} flows)",
-        depth=3,
-        width=width,
-        stateful_atom="pred_raw",
-        description=(
-            f"{flows} flow-owned accumulators plus {flows} read-only threshold "
-            "cells routed into every packet's outputs; the reference workload "
-            "for the read-tracked shard merge rule."
-        ),
-        spec_function=spec,
-        build_machine_code=build,
-        state_template={f"flow_{k}": 0 for k in range(flows)},
-        relevant_containers=list(range(2, width)),
-        initial_stateful_values={(2, k): [thresholds[k]] for k in range(flows)},
-        field_generators=[choice_field(range(flows)), None] + [None] * flows,
-    )
-
-
-def make_flow_counters_cross_reader_variant(flows: int) -> BenchmarkProgram:
-    """Flow counters with an *adversarial* cross-flow state read.
-
-    Identical to :func:`make_flow_counters_variant` except that flow 0's
-    accumulator output is routed into container 2: every packet — whatever
-    its flow — copies the pre-update value of cell ``(1, 0)`` into its
-    outputs.  That cell is *written* by flow 0, so under any multi-shard
-    partition the packets of other flows would read a stale shard-private
-    value; the read-set rule must refuse the merge (explicit
-    ``engine="sharded"`` raises, ``engine="auto"`` falls back).
-    """
-    if flows < 1:
-        raise ValueError("need at least one flow")
-    width = flows + 2
-
-    def spec(phv: List[int], state: Dict[str, int]) -> List[int]:
-        outputs = list(phv)
-        flow = phv[0]
-        for k in range(flows):
-            outputs[2 + k] = 1 if flow == k else 0
-        old_flow_0 = state["flow_0"]
-        if 0 <= flow < flows:
-            state[f"flow_{flow}"] = state[f"flow_{flow}"] + phv[1]
-        outputs[2] = old_flow_0  # stage 1 routes cell (1, 0)'s pre-update value
-        return outputs
-
-    def build(builder: MachineCodeBuilder) -> None:
-        for k in range(flows):
-            builder.configure_stateless_full(
-                stage=0,
-                slot=k,
-                mode="rel",
-                op="==",
-                a=("pkt", 0),
-                b=("const", k),
-                input_containers=[0, 0],
-            )
-            builder.route_output(stage=0, container=2 + k, kind=naming.STATELESS, slot=k)
-            builder.configure_pred_raw(
-                stage=1,
-                slot=k,
-                cond=("<", False, ("pkt", 0)),
-                update=("+", True, ("pkt", 1)),
-                input_containers=[2 + k, 1],
-            )
-        # The cross-flow read: every packet sees flow 0's accumulator.
-        builder.route_output(stage=1, container=2, kind=naming.STATEFUL, slot=0)
-
-    return BenchmarkProgram(
-        name=f"flow_counters_cross_reader_{flows}",
-        display_name=f"Flow counters + cross-flow reader ({flows} flows)",
-        depth=2,
-        width=width,
-        stateful_atom="pred_raw",
-        description=(
-            f"{flows} flow-owned accumulators with flow 0's written cell exposed "
-            "to every packet — the adversarial workload the read-tracked merge "
-            "rule must keep refusing."
-        ),
-        spec_function=spec,
-        build_machine_code=build,
-        state_template={f"flow_{k}": 0 for k in range(flows)},
-        relevant_containers=list(range(2, width)),
-        field_generators=[choice_field(range(flows)), None] + [None] * flows,
     )
 
 

@@ -11,9 +11,9 @@ Both switch architectures are fed by seeded random workload generators:
 
 Historically the two generators lived in separate copies under ``dsim`` and
 ``drmt`` and drifted (different laziness, duplicated field-override helpers,
-diverging seed plumbing).  This module is the single home for both; the old
-``repro.dsim.traffic`` and ``repro.drmt.traffic`` modules re-export from here
-for compatibility.  Seed handling is shared: every generator owns one integer
+diverging seed plumbing).  This module is the single home for both;
+``repro.dsim`` and ``repro.drmt`` re-export the generator each of them
+consumes.  Seed handling is shared: every generator owns one integer
 ``seed``, builds a fresh :class:`random.Random` per ``generate``/``iter_*``
 call, and is therefore replayable — the fuzzing workflow relies on this to
 reproduce counterexamples.

@@ -96,7 +96,25 @@ class TestDrmtCli:
         assert drmt_main(
             ["--p4", str(p4_path), "--entries", str(entries_path), "--packets", "5"]
         ) == 0
-        assert "telemetry" in capsys.readouterr().out.lower() or True
+        out = capsys.readouterr().out
+        assert "tables:        bucketize, accounting, alarms" in out
+        # The entries file was installed: every packet hits the accounting table.
+        assert "'accounting': (5, 0)" in out
+
+    def test_bundled_router_with_entries_file(self, tmp_path, capsys):
+        from repro.p4 import samples
+
+        entries_path = tmp_path / "entries.txt"
+        entries_path.write_text(samples.SIMPLE_ROUTER_ENTRIES)
+        assert drmt_main(["--entries", str(entries_path), "--packets", "10"]) == 0
+        with_file = capsys.readouterr().out
+        assert drmt_main(["--packets", "10"]) == 0
+        assert with_file == capsys.readouterr().out
+        # The file's contents, not the bundled entries, fill the tables.
+        entries_path.write_text("# no entries\n")
+        assert drmt_main(["--entries", str(entries_path), "--packets", "10"]) == 0
+        hits = capsys.readouterr().out.split("table hits/misses:", 1)[1].splitlines()[0]
+        assert hits.count("(0, 10)") == 3
 
 
 class TestEngineFlags:
@@ -149,86 +167,41 @@ class TestEngineFlags:
         assert "VISIT_ORDERS" in out
 
 
-class TestShardingKnobs:
-    """CLI coverage for --shards/--workers/--shard-key/--transport."""
+class TestInputErrors:
+    """Bad ALU names and missing input files print ``error: ...`` and exit 1."""
 
-    DSIM_SHARDED = [
-        "--depth", "1", "--width", "2", "--stateful-alu", "pred_raw",
-        "--phvs", "8", "--engine", "sharded",
-    ]
+    def test_dgen_unknown_alu_and_missing_machine_code(self, tmp_path, capsys):
+        assert dgen_main(["--stateful-alu", "if_else_rwa"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stateful-alu 'if_else_rwa' is neither")
+        assert "if_else_raw" in err  # the catalogue atoms are listed
+        missing = str(tmp_path / "missing.json")
+        assert dgen_main(["--machine-code", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
 
-    def test_dsim_sharded_happy_path(self, capsys):
-        assert dsim_main(
-            self.DSIM_SHARDED
-            + ["--shards", "2", "--workers", "1", "--shard-key", "0"]
-        ) == 0
-        assert "engine: sharded[" in capsys.readouterr().err
+    def test_dsim_unknown_alu_and_missing_machine_code(self, tmp_path, capsys):
+        assert dsim_main(["--stateless-alu", "stateless_ful", "--phvs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stateless-alu 'stateless_ful' is neither")
+        assert "stateless_full" in err
+        missing = str(tmp_path / "missing.txt")
+        assert dsim_main(["--machine-code", missing, "--phvs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.txt" in err
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_dsim_transport_happy_path(self, transport, capsys):
-        assert dsim_main(
-            self.DSIM_SHARDED
-            + ["--shards", "2", "--workers", "1", "--shard-key", "0",
-               "--transport", transport]
-        ) == 0
-        assert "engine: sharded[" in capsys.readouterr().err
+    def test_drmt_missing_p4_and_entries_files(self, tmp_path, capsys):
+        assert drmt_main(["--p4", str(tmp_path / "missing.p4")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.p4" in err
+        assert drmt_main(["--entries", str(tmp_path / "missing.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.cfg" in err
 
-    def test_dsim_transport_outputs_identical_across_transports(self, capsys):
-        outputs = {}
-        for transport in ("pickle", "shm"):
-            assert dsim_main(
-                self.DSIM_SHARDED
-                + ["--shards", "2", "--workers", "1", "--shard-key", "0",
-                   "--transport", transport]
-            ) == 0
-            outputs[transport] = capsys.readouterr().out
-        assert outputs["pickle"] == outputs["shm"]
 
-    def test_dsim_rejects_invalid_shards_and_workers(self, capsys):
-        assert dsim_main(self.DSIM_SHARDED + ["--shards", "0"]) == 1
-        assert "shard count" in capsys.readouterr().err
-        assert dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--workers", "0"]) == 1
-        assert "worker count" in capsys.readouterr().err
-
-    def test_dsim_rejects_malformed_shard_key(self, capsys):
-        assert dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--shard-key", "a,b"]) == 1
-        assert "--shard-key" in capsys.readouterr().err
-        assert dsim_main(self.DSIM_SHARDED + ["--shards", "2", "--shard-key", "99"]) == 1
-        assert "out of range" in capsys.readouterr().err
-
-    def test_dsim_rejects_unknown_transport_via_argparse(self):
+class TestEngineChoices:
+    @pytest.mark.parametrize("main", [dsim_main, drmt_main, fuzz_main])
+    def test_engine_flag_accepts_only_the_driver_names(self, main, capsys):
         with pytest.raises(SystemExit):
-            dsim_main(self.DSIM_SHARDED + ["--transport", "smoke-signal"])
-
-    def test_drmt_sharded_happy_path(self, capsys):
-        assert drmt_main(
-            ["--packets", "10", "--engine", "sharded", "--shards", "2", "--workers", "1"]
-        ) == 0
-        assert "(sharded[" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_drmt_transport_happy_path(self, transport, capsys):
-        assert drmt_main(
-            ["--packets", "10", "--engine", "sharded", "--shards", "2",
-             "--workers", "1", "--transport", transport]
-        ) == 0
-        assert "(sharded[" in capsys.readouterr().out
-
-    def test_drmt_rejects_invalid_shards_and_workers(self, capsys):
-        assert drmt_main(["--packets", "5", "--engine", "sharded", "--shards", "-1"]) == 1
-        assert "shard count" in capsys.readouterr().err
-        assert drmt_main(
-            ["--packets", "5", "--engine", "sharded", "--shards", "2", "--workers", "0"]
-        ) == 1
-        assert "worker count" in capsys.readouterr().err
-
-    def test_drmt_rejects_unknown_transport_via_argparse(self):
-        with pytest.raises(SystemExit):
-            drmt_main(["--packets", "5", "--transport", "telepathy"])
-
-    def test_drmt_explicit_shard_key_happy_path(self, capsys):
-        assert drmt_main(
-            ["--packets", "12", "--engine", "sharded", "--shards", "2",
-             "--workers", "1", "--shard-key", "ipv4.dstAddr"]
-        ) == 0
-        assert "(sharded[" in capsys.readouterr().out
+            main(["--engine", "parallel"])
+        assert "choose from 'auto', 'tick', 'generic', 'fused')" in capsys.readouterr().err

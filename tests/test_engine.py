@@ -108,6 +108,38 @@ class TestSelectionRules:
         with pytest.raises(SimulationError, match="unknown engine"):
             resolve_engine("warp", fused_available=True)
 
+    def test_unavailable_engine_error_lists_available_drivers(self):
+        """The error for an unavailable driver names the ones that exist."""
+        program = get_program("conga")
+        description = dgen.generate(
+            program.pipeline_spec(), program.machine_code(), opt_level=dgen.OPT_SCC_INLINE
+        )
+        with pytest.raises(SimulationError) as excinfo:
+            RMTSimulator(description, engine="fused").run([[0] * program.width])
+        message = str(excinfo.value)
+        assert "carries no fused run_trace entry point" in message
+        assert "available drivers for this pipeline description: tick, generic" in message
+
+    def test_every_facade_knows_exactly_auto_and_the_three_drivers(self, descriptions):
+        from repro.drmt import DRMTSimulator, DrmtHardwareParams, generate_bundle
+        from repro.p4 import samples
+
+        assert ENGINE_CHOICES == ("auto", "tick", "generic", "fused")
+        message = "unknown engine 'parallel'; choose one of auto, tick, generic, fused"
+        with pytest.raises(SimulationError, match=message):
+            resolve_engine("parallel", fused_available=True)
+        program, description = descriptions["sampling"]
+        inputs = [[0] * program.width]
+        for simulator in (
+            RMTSimulator(description, engine="parallel"),
+            RunToCompletionSimulator(description, engine="parallel"),
+        ):
+            with pytest.raises(SimulationError, match=message):
+                simulator.run(inputs)
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
+        with pytest.raises(SimulationError, match=message):
+            DRMTSimulator(bundle, engine="parallel").run_traffic(3)
+
     def test_simulator_rejects_fused_below_level3(self):
         program = get_program("sampling")
         description = dgen.generate(
@@ -147,6 +179,30 @@ class TestProtocolConformance:
 
         bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams())
         assert isinstance(DRMTSimulator(bundle), ExecutionEngine)
+
+
+class TestLeanImport:
+    def test_import_repro_loads_neither_numpy_nor_multiprocessing(self):
+        """Every driver runs in process; importing the package stays stdlib-light."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys, repro; "
+            "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestRunToCompletionSimulator:

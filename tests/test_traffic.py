@@ -38,16 +38,20 @@ class TestSharedSeedHandling:
             PacketGenerator(samples.simple_router()).generate(-1)
 
 
-class TestCompatibilityShims:
-    def test_dsim_and_drmt_shims_reexport_the_shared_classes(self):
-        from repro.drmt import traffic as drmt_traffic
-        from repro.dsim import traffic as dsim_traffic
+class TestPackageExports:
+    def test_dsim_and_drmt_packages_export_the_shared_objects(self):
+        import repro.drmt
+        import repro.dsim
 
-        assert dsim_traffic.TrafficGenerator is TrafficGenerator
-        assert drmt_traffic.PacketGenerator is PacketGenerator
-        assert dsim_traffic.choice_field is choice_field
-        assert drmt_traffic.values_field is values_field
+        assert repro.dsim.TrafficGenerator is TrafficGenerator
+        assert repro.drmt.PacketGenerator is PacketGenerator
+        assert repro.dsim.choice_field is choice_field
+        assert repro.dsim.uniform_field is uniform_field
+        assert repro.dsim.constant_field is constant_field
+        assert repro.drmt.values_field is values_field
 
+
+class TestFieldHelpers:
     def test_values_field_is_choice_field_alias(self):
         import random
 
@@ -56,8 +60,6 @@ class TestCompatibilityShims:
         field_b = choice_field([4, 5, 6])
         assert [field_a(rng_a) for _ in range(10)] == [field_b(rng_b) for _ in range(10)]
 
-
-class TestFieldHelpers:
     def test_uniform_and_constant(self):
         import random
 
