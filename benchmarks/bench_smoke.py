@@ -16,7 +16,9 @@ program:
 
 Since PR 2 the sweep also covers the dRMT engine: packets/sec for the
 bundled P4 programs under the tick, generic and fused drivers (the fused
-cells run the dict-specialised exact-match lookup since PR 3).
+cells run the dict-specialised exact-match lookup since PR 3, and both
+sequential drivers probe mask-group dict indexes for ternary and LPM tables
+since PR 9).
 
 Usage::
 

@@ -236,7 +236,9 @@ def drmt_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--dump-fused", action="store_true",
-        help="print the generated fused dRMT program source and exit",
+        help="print the generated fused dRMT program source (table probes and "
+             "run_trace; the observed debugging twin is built on demand and not "
+             "shown) and exit",
     )
     args = parser.parse_args(argv)
 

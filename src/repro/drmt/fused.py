@@ -21,19 +21,24 @@ walks ticks executing the inlined per-cycle segments in precisely the
 interpreter's interleaving — shared registers observe the identical sequence
 of reads and writes.
 
-Tables whose every read uses the exact match kind are *dict-specialised*:
-instead of hoisting the shared :meth:`MatchActionTable.lookup` (a linear
-scan over the entries), the generated prologue builds the table's
-:meth:`~repro.drmt.tables.MatchActionTable.exact_index` once per trace and
-each match becomes a single dict probe, with hit/miss counts accumulated in
-locals and folded back into the table's counters on exit — so the inner
-loop is no longer scan-bound while the observable statistics stay identical
-to the interpreter's.  Ternary and LPM tables keep the scan.
+No match runs :meth:`MatchActionTable.lookup`'s linear scan.  The
+generated prologue builds each table's dict index once per trace: the
+:meth:`~repro.drmt.tables.MatchActionTable.exact_index` of an all-exact
+table, whose match is a single dict probe, and otherwise the
+:meth:`~repro.drmt.tables.MatchActionTable.mask_groups` of a ternary, LPM
+or mixed table, walked by a generated module-level ``probe_<table>(groups,
+fields)`` function specialised to the table's arity (one dict probe per mask
+group, stopping once the best hit outranks every later group).  Hit/miss
+counts are accumulated in locals and folded back into the table's counters
+on exit, so the observable statistics stay identical to the interpreter's.
 
 A second entry point, ``run_trace_observed``, additionally calls
 ``observer(packet_id, processor, tick, fields)`` after every (packet,
 cycle-segment) execution: the per-processor snapshot hook that lets
-debugging tools watch what the production fast path computes.
+debugging tools watch what the production fast path computes.  It is
+generated into the program's namespace the first time
+:attr:`DrmtFusedProgram.run_trace_observed` is read, and is not part of
+:attr:`DrmtFusedProgram.source`.
 
 :func:`run_to_completion_hazard` is the static analysis used by the
 *generic* (non-generated) run-to-completion driver in
@@ -46,10 +51,10 @@ for which that fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dgen.optimize.peephole import PeepholeMemo, peephole_block
+from ..dgen.optimize.peephole import peephole_block
 from ..errors import CodegenError
 from ..ir import nodes as ir
 from ..ir.printer import to_source
@@ -168,7 +173,7 @@ class DrmtFusedGenerator:
     # Module assembly
     # ------------------------------------------------------------------
     def generate(self) -> ir.Module:
-        """Build the fused dRMT module (both entry points)."""
+        """Build the fused dRMT module: the table probes and ``run_trace``."""
         schedule = self.schedule
         module = ir.Module(
             docstring=(
@@ -189,18 +194,69 @@ class DrmtFusedGenerator:
                 ),
             ],
         )
-        # Both entry points run the same loop body through the peephole
-        # pass, so they share its memo.
-        memo = PeepholeMemo()
-        module.functions.append(self._run_trace_function(memo, observed=False))
-        module.functions.append(self._run_trace_function(memo, observed=True))
+        probed = [name for name in self.program.table_order() if not self._is_exact(name)]
+        if probed:
+            module.globals.append(ir.Assign("NO_HIT", "(-1, None)"))
+        module.functions.extend(self._probe_function(name) for name in probed)
+        module.functions.append(self._run_trace_function(observed=False))
         module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
+        return module
+
+    def generate_observed(self) -> ir.Module:
+        """Build ``run_trace_observed``; it runs in the namespace of :meth:`generate`'s module."""
+        module = ir.Module()
+        module.functions.append(self._run_trace_function(observed=True))
         module.trailer.append(
             ir.Assign("RUN_TRACE_OBSERVED", RUN_TRACE_OBSERVED_FUNCTION_NAME)
         )
         return module
 
-    def _run_trace_function(self, memo: PeepholeMemo, observed: bool) -> ir.FunctionDef:
+    def _probe_function(self, table_name: str) -> ir.FunctionDef:
+        """``probe_<table>(groups, fields)``: the table's lookup as dict probes.
+
+        An arity-specialised copy of :func:`repro.drmt.tables.probe_groups`
+        over :meth:`~repro.drmt.tables.MatchActionTable.mask_groups`: each
+        group is one probe, and the walk returns as soon as the best hit so
+        far outranks the next group's bound.
+        """
+        match_fields = self.program.tables[table_name].match_fields()
+        arity = len(match_fields)
+        body: List[ir.IRStmt] = [
+            ir.Assign(f"v{index}", f"fields.get({field!r}, 0)")
+            for index, field in enumerate(match_fields)
+        ]
+        masked = [f"v{index} & m{index}" for index in range(arity)]
+        key = masked[0] if arity == 1 else "(" + ", ".join(masked) + ")"
+        masks = ", ".join(f"m{index}" for index in range(arity))
+        body.append(ir.Assign("rank", "-1"))
+        body.append(ir.Assign("best", "None"))
+        body.append(
+            ir.For(
+                f"bound, {masks}, index",
+                "groups",
+                [
+                    ir.If(branches=[("rank > bound", [ir.Return("best")])], orelse=[]),
+                    ir.Assign("hit", f"index.get({key}, NO_HIT)"),
+                    ir.If(
+                        branches=[("hit[0] > rank", [ir.Assign("rank, best", "hit")])],
+                        orelse=[],
+                    ),
+                ],
+            )
+        )
+        body.append(ir.Return("best"))
+        return ir.FunctionDef(
+            name=f"probe_{_ident(table_name)}",
+            params=["groups", "fields"],
+            body=body,
+            docstring=(
+                f"The entry tables[{table_name!r}].lookup(fields) returns, "
+                "probed through its mask_groups() index."
+            ),
+        )
+
+    def _run_trace_function(self, observed: bool) -> ir.FunctionDef:
+        """``run_trace`` or, with ``observed``, its snapshot-hook twin."""
         segments = _segments(self.schedule)
         body: List[ir.IRStmt] = []
         body.append(ir.Assign("n", "len(packets)"))
@@ -209,31 +265,26 @@ class DrmtFusedGenerator:
             body.append(
                 ir.If(branches=[("n == 0", [ir.Return("dropped")])], orelse=[])
             )
-            body.append(ir.Comment("hoist table lookups, match results and register arrays"))
-            exact_tables: List[str] = []
+            body.append(ir.Comment("hoist table indexes, match results and register arrays"))
             for table_name in self.program.table_order():
+                # Build the table's dict index once per trace, count hits
+                # and misses locally, and fold them back into the table's
+                # counters on exit (identical totals to the linear scan).
                 safe = _ident(table_name)
-                if self._is_exact(table_name):
-                    # All-exact tables specialise into one dict probe per
-                    # match: build the index once per trace, count hits and
-                    # misses locally, and fold them back into the table's
-                    # counters on exit (identical totals to the linear scan).
-                    exact_tables.append(table_name)
-                    body.append(ir.Assign(f"table_{safe}", f"tables[{table_name!r}]"))
-                    body.append(ir.Assign(f"index_{safe}", f"table_{safe}.exact_index()"))
-                    body.append(ir.Assign(f"hits_{safe}", "0"))
-                    body.append(ir.Assign(f"misses_{safe}", "0"))
-                else:
-                    body.append(ir.Assign(f"lookup_{safe}", f"tables[{table_name!r}].lookup"))
+                index = "exact_index" if self._is_exact(table_name) else "mask_groups"
+                body.append(ir.Assign(f"table_{safe}", f"tables[{table_name!r}]"))
+                body.append(ir.Assign(f"index_{safe}", f"table_{safe}.{index}()"))
+                body.append(ir.Assign(f"hits_{safe}", "0"))
+                body.append(ir.Assign(f"misses_{safe}", "0"))
                 body.append(ir.Assign(f"matched_{safe}", "[None] * n"))
             for register_name in self.program.registers:
                 body.append(
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
             loop_body = self._tick_loop_body(segments, observed)
-            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body, memo))
+            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body))
             body.append(tick_loop)
-            for table_name in exact_tables:
+            for table_name in self.program.table_order():
                 safe = _ident(table_name)
                 body.append(
                     ir.Assign(f"table_{safe}.hit_count", f"table_{safe}.hit_count + hits_{safe}")
@@ -346,16 +397,17 @@ class DrmtFusedGenerator:
                 if match_fields
                 else "()"
             )
-            lookup_stmts: List[ir.IRStmt] = [
-                ir.Assign("_entry", f"index_{safe}.get({key})"),
-                ir.Assign(f"matched_{safe}[p]", "_entry"),
-                ir.If(
-                    branches=[("_entry is None", [ir.Assign(f"misses_{safe}", f"misses_{safe} + 1")])],
-                    orelse=[ir.Assign(f"hits_{safe}", f"hits_{safe} + 1")],
-                ),
-            ]
+            probe = f"index_{safe}.get({key})"
         else:
-            lookup_stmts = [ir.Assign(f"matched_{safe}[p]", f"lookup_{safe}(fields)")]
+            probe = f"probe_{safe}(index_{safe}, fields)"
+        lookup_stmts: List[ir.IRStmt] = [
+            ir.Assign("_entry", probe),
+            ir.Assign(f"matched_{safe}[p]", "_entry"),
+            ir.If(
+                branches=[("_entry is None", [ir.Assign(f"misses_{safe}", f"misses_{safe} + 1")])],
+                orelse=[ir.Assign(f"hits_{safe}", f"hits_{safe} + 1")],
+            ),
+        ]
         condition = self._enabled_condition(table_name)
         if condition is None:
             return lookup_stmts
@@ -490,12 +542,19 @@ class DrmtFusedGenerator:
 
 @dataclass
 class DrmtFusedProgram:
-    """A compiled fused dRMT program plus its provenance."""
+    """A compiled fused dRMT program plus its provenance.
+
+    ``module``, ``source`` and ``namespace`` hold the production module:
+    the table probes and ``run_trace``.  The observed twin is generated
+    into the same namespace the first time :attr:`run_trace_observed` is
+    read, so programs that are only run never pay for it.
+    """
 
     module: ir.Module
     source: str
     namespace: Dict[str, object]
     hazard: Optional[str]
+    generator: DrmtFusedGenerator = field(repr=False, compare=False)
 
     @property
     def run_trace(self) -> Callable:
@@ -504,12 +563,22 @@ class DrmtFusedProgram:
 
     @property
     def run_trace_observed(self) -> Callable:
-        """The observed variant (per-processor snapshot hooks)."""
+        """The observed variant (per-processor snapshot hooks), built on first use."""
+        if "RUN_TRACE_OBSERVED" not in self.namespace:
+            _exec_module(self.generator.generate_observed(), self.namespace, "_observed")
         return self.namespace["RUN_TRACE_OBSERVED"]  # type: ignore[return-value]
 
     def source_line_count(self) -> int:
         """Number of non-blank source lines (the Figure 6 code-size metric)."""
         return sum(1 for line in self.source.splitlines() if line.strip())
+
+
+def _exec_module(module: ir.Module, namespace: Dict[str, object], suffix: str = "") -> str:
+    """Render ``module``, run it in ``namespace`` and return its source."""
+    source = to_source(module)
+    code = compile(source, filename=f"<{namespace['__name__']}{suffix}>", mode="exec")
+    exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
+    return source
 
 
 def generate_fused(
@@ -521,16 +590,14 @@ def generate_fused(
     """Generate, render, compile and wrap the fused program for one bundle."""
     generator = DrmtFusedGenerator(program, schedule, num_processors)
     module = generator.generate()
-    source = to_source(module)
     namespace: Dict[str, object] = {"__name__": module_name}
-    code = compile(source, filename=f"<{module_name}>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
     fused = DrmtFusedProgram(
         module=module,
-        source=source,
+        source=_exec_module(module, namespace),
         namespace=namespace,
         hazard=run_to_completion_hazard(program, schedule),
+        generator=generator,
     )
-    if not callable(fused.run_trace) or not callable(fused.run_trace_observed):
+    if not callable(fused.run_trace):
         raise CodegenError("fused dRMT generation produced no callable run_trace")
     return fused

@@ -158,7 +158,8 @@ class DRMTSimulator:
         to the tick interpreter otherwise); ``tick_accurate=True`` always
         forces the per-tick model.  ``observer`` (fused only) receives
         ``(packet_id, processor, tick, fields)`` after every (packet, cycle)
-        execution.
+        execution.  Every driver runs on ``int``-coerced copies of the
+        packets; records keep the caller's values as ``inputs``.
         """
         mode = self._resolve_mode(tick_accurate)
         if observer is not None and mode != "fused":
@@ -227,9 +228,11 @@ class DRMTSimulator:
 
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop."""
+        from ..engine.drmt import prepare_packets
+
         num_processors = len(self.processors)
         records: List[DrmtPacketRecord] = []
-        inputs: Dict[int, Dict[str, int]] = {}
+        inputs, work = prepare_packets(packets)
 
         tick = 0
         injected = 0
@@ -240,11 +243,10 @@ class DRMTSimulator:
                 processor_id = tick % num_processors
                 packet = PacketContext(
                     packet_id=injected,
-                    fields=dict(packets[injected]),
+                    fields=work[injected],
                     arrival_tick=tick,
                     processor=processor_id,
                 )
-                inputs[injected] = dict(packets[injected])
                 self.processors[processor_id].accept(packet)
                 injected += 1
 
@@ -257,7 +259,7 @@ class DRMTSimulator:
                             arrival_tick=finished.arrival_tick,
                             completed_tick=finished.completed_tick,
                             inputs=inputs[finished.packet_id],
-                            outputs=dict(finished.fields),
+                            outputs=finished.fields,
                             dropped=finished.dropped,
                         )
                     )

@@ -15,7 +15,8 @@ with patterns written as
 
 * ``42`` — exact match;
 * ``42&&&0xff`` — ternary match (value ``&&&`` mask);
-* ``42/24`` — longest-prefix match (value ``/`` prefix length).
+* ``42/24`` — longest-prefix match (value ``/`` prefix length, from 0 to
+  the field's width).
 
 ``#`` and ``//`` comments and blank lines are ignored.
 """
@@ -60,8 +61,14 @@ def parse_pattern(text: str, kind: str, width: int) -> MatchPattern:
     if kind == "lpm":
         if "/" in text:
             value_text, prefix_text = text.split("/", 1)
+            prefix = _parse_int(prefix_text)
+            if not 0 <= prefix <= width:
+                raise TableConfigError(
+                    f"LPM prefix /{prefix} in {text!r} is outside [0, {width}] "
+                    f"for a {width}-bit field"
+                )
             return MatchPattern(
-                kind="lpm", value=_parse_int(value_text), prefix_len=_parse_int(prefix_text), width=width
+                kind="lpm", value=_parse_int(value_text), prefix_len=prefix, width=width
             )
         return MatchPattern(kind="lpm", value=_parse_int(text), prefix_len=width, width=width)
     raise TableConfigError(f"unsupported match kind {kind!r}")
@@ -86,9 +93,12 @@ def parse_entry_line(line: str, program: P4Program, line_number: int = 0) -> Tup
                 f"line {line_number}: table {table_name!r} does not match on {field_name!r}"
             )
         width = program.field_width(field_name)
-        patterns[field_name] = parse_pattern(
-            field_match.group("pattern"), declared_kinds[field_name], width
-        )
+        try:
+            patterns[field_name] = parse_pattern(
+                field_match.group("pattern"), declared_kinds[field_name], width
+            )
+        except TableConfigError as error:
+            raise TableConfigError(f"line {line_number}: {error}") from None
 
     args_text = match.group("args").strip()
     action_args = [_parse_int(arg) for arg in args_text.split(",")] if args_text else []

@@ -4,12 +4,19 @@ dRMT "accesses centralized match+action tables using shared memory through a
 crossbar"; this module models those tables: typed entries (exact, ternary and
 longest-prefix matches), lookup against a packet's field values, and the
 shared table store that every processor consults.
+
+:meth:`MatchActionTable.lookup` is the linear scan the tick interpreter runs
+and the oracle the faster drivers are tested against.  Those drivers probe
+:meth:`MatchActionTable.mask_groups` instead: every pattern is rewritten as
+``(x & mask) == (value & mask)`` (:attr:`MatchPattern.match_mask`), entries
+sharing one tuple of masks land in one dict keyed by their masked values,
+and a lookup becomes one dict probe per group (:func:`probe_groups`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TableConfigError
 from ..p4.program import P4Program, Table
@@ -43,6 +50,27 @@ class MatchPattern:
                 return True
             shift = max(self.width - prefix, 0)
             return (field_value >> shift) == (self.value >> shift)
+        raise TableConfigError(f"unknown match kind {self.kind!r}")
+
+    @property
+    def match_mask(self) -> int:
+        """The mask ``m`` with ``matches(x) == ((x & m) == (value & m))``.
+
+        Exact for every Python int ``x``, negative and out-of-width values
+        included: exact is ``-1``, ternary its mask (full width when
+        absent), and a ``/p`` prefix ``-1 << max(width - p, 0)`` (``0`` for
+        ``/0``), since ``x >> s == v >> s`` exactly when
+        ``x & (-1 << s) == v & (-1 << s)``.
+        """
+        if self.kind == "exact":
+            return -1
+        if self.kind == "ternary":
+            return self.mask if self.mask is not None else (1 << self.width) - 1
+        if self.kind == "lpm":
+            prefix = self.prefix_len if self.prefix_len is not None else self.width
+            if prefix == 0:
+                return 0
+            return -1 << max(self.width - prefix, 0)
         raise TableConfigError(f"unknown match kind {self.kind!r}")
 
     @property
@@ -123,19 +151,69 @@ class MatchActionTable:
     def is_exact(self) -> bool:
         """True when every ``reads`` clause entry uses the exact match kind.
 
-        Such a table's linear scan can be specialised into one dict probe;
-        the fused dRMT code generator keys on the same definition property.
+        Such a table has one mask group, so a lookup is a single dict probe
+        into :meth:`exact_index`; the fused dRMT code generator keys on the
+        same definition property.
         """
         return self.definition.is_exact
 
+    def _ranked_groups(
+        self, scalar_keys: bool
+    ) -> Dict[Tuple[int, ...], Dict[object, Tuple[int, TableEntry]]]:
+        """Entries grouped by their tuple of masks, best group first.
+
+        Each group maps a masked key to ``(rank, entry)`` for the best entry
+        with that key.  Ranks order entries as :meth:`lookup`'s ``max`` does
+        -- highest ``(priority, specificity)``, earliest added on ties -- and
+        grow with preference, from ``0`` for the worst entry.  Entries are
+        inserted best-first, so every group keeps its best entry per key,
+        its first value holds its highest rank, and the groups come out
+        sorted by that rank.
+        """
+        field_order = self.definition.match_fields()
+        entries = self.entries
+        order = sorted(
+            range(len(entries)),
+            key=lambda position: (
+                entries[position].priority,
+                entries[position].specificity,
+                -position,
+            ),
+            reverse=True,
+        )
+        groups: Dict[Tuple[int, ...], Dict[object, Tuple[int, TableEntry]]] = {}
+        for rank, position in zip(range(len(entries) - 1, -1, -1), order):
+            entry = entries[position]
+            patterns = [entry.patterns[name] for name in field_order]
+            masks = tuple(pattern.match_mask for pattern in patterns)
+            key = tuple(pattern.value & mask for pattern, mask in zip(patterns, masks))
+            index = groups.setdefault(masks, {})
+            index.setdefault(key[0] if scalar_keys else key, (rank, entry))
+        return groups
+
+    def mask_groups(self) -> Tuple[tuple, ...]:
+        """The dict index the fused and generic dRMT drivers probe.
+
+        One ``(bound, m0, ..., mk, index)`` tuple per distinct tuple of
+        :attr:`MatchPattern.match_mask` values (fields in ``match_fields``
+        order), sorted by ``bound``, the highest rank in the group, best
+        first.  ``index`` maps the masked key -- a scalar for a one-field
+        table, else a tuple -- to ``(rank, entry)``.  :func:`probe_groups`
+        returns exactly the entry :meth:`lookup` would.  Rebuild after
+        adding entries; the drivers build it once per run.
+        """
+        scalar_keys = len(self.definition.match_fields()) == 1
+        return tuple(
+            (next(iter(index.values()))[0], *masks, index)
+            for masks, index in self._ranked_groups(scalar_keys).items()
+        )
+
     def exact_index(self) -> Dict[Tuple[int, ...], TableEntry]:
-        """The dict-lookup specialisation of an all-exact table.
+        """The single mask group of an all-exact table, as a plain dict.
 
         Maps the tuple of pattern values (in ``match_fields`` order) to the
         entry :meth:`lookup` would return for a packet carrying exactly those
-        values: when several entries share one key, the winner is the highest
-        ``(priority, specificity)`` pair, earliest added on ties — the same
-        tie-break ``max`` applies over the scan's candidate list.  Rebuild
+        values, under the tie-break rule of :meth:`mask_groups`.  Rebuild
         after adding entries; the generated fused loop builds it once per
         ``run_trace`` call.
         """
@@ -144,17 +222,35 @@ class MatchActionTable:
                 f"table {self.name!r} mixes match kinds; only all-exact tables "
                 "can be specialised into a dict index"
             )
-        field_order = self.definition.match_fields()
-        index: Dict[Tuple[int, ...], TableEntry] = {}
-        for entry in self.entries:
-            key = tuple(entry.patterns[name].value for name in field_order)
-            best = index.get(key)
-            if best is None or (entry.priority, entry.specificity) > (
-                best.priority,
-                best.specificity,
-            ):
-                index[key] = entry
-        return index
+        # Every exact mask is -1, so all entries share one group.
+        for index in self._ranked_groups(scalar_keys=False).values():
+            return {key: entry for key, (_rank, entry) in index.items()}
+        return {}
+
+
+def probe_groups(
+    groups: Sequence[tuple], values: Sequence[int]
+) -> Optional[TableEntry]:
+    """Best entry of :meth:`MatchActionTable.mask_groups` for ``values``.
+
+    ``values`` are the packet's field values in ``match_fields`` order.  A
+    hit outranking a group's bound outranks every later group too, so the
+    walk stops there.  The fused generator emits an arity-specialised copy
+    of this loop per table.
+    """
+    rank, best = -1, None
+    scalar = len(values) == 1
+    for group in groups:
+        if rank > group[0]:
+            break
+        if scalar:
+            key = values[0] & group[1]
+        else:
+            key = tuple(value & mask for value, mask in zip(values, group[1:-1]))
+        hit = group[-1].get(key)
+        if hit is not None and hit[0] > rank:
+            rank, best = hit
+    return best
 
 
 class TableStore:

@@ -18,6 +18,14 @@ store and register file:
   interpreter's exact interleaving and is therefore faithful for *any*
   program.
 
+Neither driver scans a table: both look entries up through the table's
+dict index (:meth:`~repro.drmt.tables.MatchActionTable.mask_groups`, or
+``exact_index`` in the fused loop's all-exact case), built once per run so
+entries added between runs are seen, with hit/miss counters kept exactly as
+:meth:`~repro.drmt.tables.MatchActionTable.lookup` counts them.  Every
+driver, the tick interpreter included, runs on the working rows of
+:func:`prepare_packets`, so all three see the same ``int`` field values.
+
 Both drivers assemble the same :class:`DrmtSimulationResult` as the tick
 interpreter; arrival/completion ticks, processor assignment and operation
 counts follow from the round-robin injection discipline (packet ``p`` enters
@@ -27,11 +35,13 @@ at tick ``p`` on processor ``p % N`` and completes at tick
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..drmt.fused import run_to_completion_hazard
 from ..drmt.scheduler import ACTION_OP, MATCH_OP
 from ..drmt.simulator import DrmtPacketRecord, DrmtSimulationResult
+from ..drmt.tables import probe_groups
 from ..errors import SimulationError
 from ..p4.program import Action, P4Program
 
@@ -42,8 +52,16 @@ OpClosure = Callable[[Dict[str, int], Dict[str, object]], bool]
 def prepare_packets(
     packets: Sequence[Dict[str, int]]
 ) -> Tuple[List[Dict[str, int]], List[Dict[str, int]]]:
-    """Copy the input packets and build integer-coerced working dicts."""
-    inputs = [dict(packet) for packet in packets]
+    """Copy the input packets and build the integer working rows.
+
+    Every driver injects the working rows, so all of them see the same
+    values.  One C-level pass over the value types decides whether any
+    value needs ``int`` coercion (bools, floats, int subclasses); when none
+    does, the rows are plain copies.
+    """
+    inputs = list(map(dict, packets))
+    if set(map(type, chain.from_iterable(map(dict.values, inputs)))) <= {int}:
+        return inputs, list(map(dict, inputs))
     work = [{name: int(value) for name, value in packet.items()} for packet in inputs]
     return inputs, work
 
@@ -111,10 +129,10 @@ class RunToCompletionDriver:
                 "use the fused or tick engine instead"
             )
         self._operations: List[OpClosure] = []
-        #: All-exact tables probed through a dict index; refreshed per run so
+        #: Matched tables with their mask-group index; refreshed per run so
         #: entries added between runs are picked up (the fused generator
         #: rebuilds its index once per ``run_trace`` call the same way).
-        self._exact_probes: List[Tuple[object, List]] = []
+        self._indexed_tables: List[Tuple[object, List]] = []
         program = bundle.program
         conditions = {apply.table: apply for apply in program.control_flow}
         ordered = sorted(bundle.schedule.start_times.items(), key=lambda item: item[1])
@@ -138,8 +156,8 @@ class RunToCompletionDriver:
     # ------------------------------------------------------------------
     def run(self, work: Sequence[Dict[str, int]]) -> List[bool]:
         """Run every packet to completion in arrival order; return drop flags."""
-        for table, index_cell in self._exact_probes:
-            index_cell[0] = table.exact_index()
+        for table, groups_cell in self._indexed_tables:
+            groups_cell[0] = table.mask_groups()
         operations = self._operations
         dropped = [False] * len(work)
         for packet, fields in enumerate(work):
@@ -156,31 +174,27 @@ class RunToCompletionDriver:
     def _compile_match(
         self, table_name: str, table, gate: Optional[Tuple[str, int]]
     ) -> OpClosure:
-        """One match operation: a dict probe for all-exact tables, else the scan.
+        """One match operation: a walk over the table's mask-group index.
 
-        The dict probe shares :meth:`MatchActionTable.exact_index` with the
-        fused code generator — one probe per match instead of a linear scan —
-        and preserves the table's hit/miss counters exactly as
-        :meth:`MatchActionTable.lookup` would have counted them.
+        The probe shares :meth:`MatchActionTable.mask_groups` with the fused
+        code generator -- one dict probe per mask group instead of a linear
+        scan over the entries -- and keeps the table's hit/miss counters
+        exactly as :meth:`MatchActionTable.lookup` would have counted them.
         """
-        if table.is_exact:
-            field_order = tuple(table.definition.match_fields())
-            index_cell: List = [None]  # refreshed at the top of every run()
-            self._exact_probes.append((table, index_cell))
+        field_order = tuple(table.definition.match_fields())
+        groups_cell: List = [()]  # refreshed at the top of every run()
+        self._indexed_tables.append((table, groups_cell))
 
-            def probe(fields):
-                entry = index_cell[0].get(
-                    tuple(int(fields.get(name, 0)) for name in field_order)
-                )
-                if entry is None:
-                    table.miss_count += 1
-                else:
-                    table.hit_count += 1
-                return entry
+        def lookup(fields):
+            entry = probe_groups(
+                groups_cell[0], [fields.get(name, 0) for name in field_order]
+            )
+            if entry is None:
+                table.miss_count += 1
+            else:
+                table.hit_count += 1
+            return entry
 
-            lookup: Callable = probe
-        else:
-            lookup = table.lookup
         if gate is None:
             def operation(fields, matched):
                 matched[table_name] = lookup(fields)
@@ -309,7 +323,11 @@ def run_fused(
     work: Sequence[Dict[str, int]],
     observer: Optional[Callable] = None,
 ) -> List[bool]:
-    """Execute the bundle's generated fused loop on prepared packet dicts."""
+    """Execute the bundle's generated fused loop on prepared packet dicts.
+
+    With an ``observer`` the observed twin runs instead; it is generated the
+    first time it is needed.
+    """
     fused = bundle.fused_program()
     arrays = registers.arrays()
     if observer is None:

@@ -152,8 +152,10 @@ class Table:
     def is_exact(self) -> bool:
         """True when every read uses the exact match kind.
 
-        The single source of truth for "dict-specialisable": the fused dRMT
-        generator and :meth:`MatchActionTable.exact_index` both key on it.
+        Such a table's entries all share one mask group, so a lookup is one
+        dict probe.  The fused dRMT generator keys on it to probe
+        :meth:`MatchActionTable.exact_index` directly, and to emit a
+        mask-group ``probe_<table>`` function for every other table.
         """
         return all(read.match_kind == "exact" for read in self.reads)
 

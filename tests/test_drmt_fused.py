@@ -129,12 +129,17 @@ class TestFusedMatchesTick:
             assert other.register_dump == tick.register_dump
             assert other.engine == engine
 
-    @pytest.mark.parametrize("num_processors", [1, 3])
-    def test_processor_counts(self, num_processors):
-        factory, entries = PROGRAMS["simple_router"]
+    @pytest.mark.parametrize("program_name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("num_processors", [1, 3, 4])
+    def test_processor_counts(self, program_name, num_processors):
+        factory, entries = PROGRAMS[program_name]
         results = run_engines(factory, entries, num_processors=num_processors, seed=5)
-        equal, detail = _records_equal(results["tick"], results["fused"])
-        assert equal, detail
+        tick = results["tick"]
+        for engine in ("generic", "fused"):
+            equal, detail = _records_equal(tick, results[engine])
+            assert equal, (engine, detail)
+            assert results[engine].table_hits == tick.table_hits
+            assert results[engine].register_dump == tick.register_dump
 
     def test_empty_trace(self):
         factory, entries = PROGRAMS["simple_router"]
@@ -248,3 +253,83 @@ class TestObserver:
             DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(
                 packets, observer=lambda *args: None
             )
+
+
+class TestNonIntPacketValues:
+    """Every driver coerces packet values with ``int`` at injection."""
+
+    def test_drivers_agree_on_bool_and_float_values(self):
+        factory, entries = PROGRAMS["telemetry_pipeline"]
+        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=2))
+        packets = [
+            {"pkt.flow_id": True, "pkt.size": 2.5, "pkt.queue_depth": 65280.0},
+            {"pkt.flow_id": 2, "pkt.size": 7.9, "pkt.queue_depth": False},
+            {"pkt.flow_id": 3, "pkt.size": 4, "pkt.queue_depth": 1},
+        ]
+        results = {
+            engine: DRMTSimulator(bundle, table_entries=entries, engine=engine).run_packets(packets)
+            for engine in ("tick", "generic", "fused")
+        }
+        tick = results["tick"]
+        assert tick.records[0].outputs["pkt.size"] == 2
+        assert tick.records[0].inputs == packets[0]
+        for engine in ("generic", "fused"):
+            equal, detail = _records_equal(tick, results[engine])
+            assert equal, (engine, detail)
+            assert results[engine].register_dump == tick.register_dump
+        for result in results.values():
+            for record in result.records:
+                assert all(type(value) is int for value in record.outputs.values())
+
+
+class TestObservedTwinOnDemand:
+    """``run_trace_observed`` is generated on first access, not with the program."""
+
+    def test_run_packets_never_builds_the_twin(self):
+        factory, entries = PROGRAMS["simple_router"]
+        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=2))
+        fused = bundle.fused_program()
+        packets = PacketGenerator(bundle.program, seed=2).generate(30)
+        assert DRMTSimulator(bundle, table_entries=entries).run_packets(packets).engine == "fused"
+        assert "RUN_TRACE_OBSERVED" not in fused.namespace
+        assert "run_trace_observed" not in fused.source
+
+    @pytest.mark.parametrize("num_processors", [1, 3])
+    def test_first_observed_run_matches_tick_snapshots(self, num_processors):
+        """(packet, cycle) snapshots of the fused twin == the tick interpreter's."""
+        factory, entries = PROGRAMS["simple_router"]
+        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=num_processors))
+        packets = PacketGenerator(bundle.program, seed=11).generate(25)
+
+        fused_events = []
+        fused = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(
+            packets,
+            observer=lambda p, proc, t, fields: fused_events.append((p, proc, t, dict(fields))),
+        )
+        assert "RUN_TRACE_OBSERVED" in bundle.fused_program().namespace
+
+        tick_events = []
+        simulator = DRMTSimulator(bundle, table_entries=entries, engine="tick")
+        schedule = bundle.schedule
+        for processor in simulator.processors:
+            original = processor.tick
+
+            def tick(current, processor=processor, original=original):
+                live = [
+                    packet
+                    for packet in processor.in_flight
+                    if not packet.dropped
+                    and schedule.operations_at(current - packet.arrival_tick)
+                ]
+                finished = original(current)
+                tick_events.extend(
+                    (packet.packet_id, packet.processor, current, dict(packet.fields))
+                    for packet in live
+                )
+                return finished
+
+            processor.tick = tick
+        reference = simulator.run_packets(packets)
+        assert fused_events and fused_events == tick_events
+        equal, detail = _records_equal(reference, fused)
+        assert equal, detail

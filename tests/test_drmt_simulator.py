@@ -197,13 +197,11 @@ class TestTelemetryPipeline:
 
 
 class TestGenericDriverExactMatchProbes:
-    """The generic run-to-completion driver shares the exact-match dict index.
+    """The generic run-to-completion driver shares the fused loop's dict index.
 
-    PR 3 dict-specialised all-exact tables in the *fused* generator; the
-    generic driver kept the linear scan.  It now probes
-    :meth:`MatchActionTable.exact_index` for all-exact tables — one dict
-    probe per match — with hit/miss counters preserved, while ternary/LPM
-    tables keep the scan.
+    It probes :meth:`MatchActionTable.mask_groups` for every table -- one
+    dict probe per mask group instead of a linear scan -- with hit/miss
+    counters preserved.
     """
 
     def _flow_restricted_packets(self, bundle, count):
@@ -243,6 +241,29 @@ class TestGenericDriverExactMatchProbes:
         result = simulator.run_packets(packets)
         assert result.engine == "generic"
         assert result.packets_processed == len(packets)
+
+    @pytest.mark.parametrize("engine", ["generic", "fused"])
+    def test_sequential_drivers_never_scan_ternary_or_lpm_tables(self, monkeypatch, engine):
+        from repro.drmt.tables import MatchActionTable
+
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=2))
+        packets = PacketGenerator(bundle.program, seed=4).generate(40)
+        tick = DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine="tick"
+        ).run_packets(packets)
+
+        def no_scan(table, fields):
+            raise AssertionError(f"{engine} driver scanned table {table.name!r}")
+
+        monkeypatch.setattr(MatchActionTable, "lookup", no_scan)
+        result = DRMTSimulator(
+            bundle, table_entries=samples.SIMPLE_ROUTER_ENTRIES, engine=engine
+        ).run_packets(packets)
+        assert result.engine == engine
+        assert result.table_hits == tick.table_hits
+        assert [record.outputs for record in result.records] == [
+            record.outputs for record in tick.records
+        ]
 
     def test_generic_counters_match_the_tick_interpreter(self):
         """Dict probes count hits and misses exactly like lookup() did."""

@@ -158,6 +158,23 @@ class TestEntryConfigFormat:
         )
         assert entry.patterns["ipv4.dstAddr"].prefix_len == 8
 
+    @pytest.mark.parametrize("prefix", ["33", "40", "-1"])
+    def test_lpm_prefix_outside_field_width_rejected(self, router, prefix):
+        """``10/40`` on a 32-bit field used to act as an exact match."""
+        text = (
+            "add forward ipv4.dstAddr=10/0 => set_nhop(1)\n"
+            f"add forward ipv4.dstAddr=10/{prefix} => set_nhop(2)\n"
+        )
+        with pytest.raises(TableConfigError, match=rf"line 2: .*/{prefix}.*\[0, 32\]"):
+            parse_entries(text, router)
+
+    def test_lpm_prefix_bounds_accepted(self, router):
+        for prefix in (0, 32):
+            _table, entry = parse_entry_line(
+                f"add forward ipv4.dstAddr=10/{prefix} => set_nhop(1)", router
+            )
+            assert entry.patterns["ipv4.dstAddr"].prefix_len == prefix
+
     def test_hex_values_accepted(self, router):
         _table, entry = parse_entry_line(
             "add flow_stats ipv4.srcAddr=0x2a => count_flow(1)", router

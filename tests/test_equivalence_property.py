@@ -7,9 +7,11 @@ These are the reproduction's central internal correctness oracles:
 * a full pipeline simulated from the unoptimised, SCC-propagated and inlined
   descriptions must produce identical output traces and final state — i.e.
   the optimisations of §3.4 never change behaviour;
-* the dict-specialised exact-match table lookup the fused dRMT generator
-  emits must agree with the linear-scan :meth:`MatchActionTable.lookup` for
-  any table contents — hits, misses and default-action fallthroughs alike.
+* the dict-specialised table lookups the fused and generic dRMT drivers
+  run (the exact index and the mask-group probes for ternary, LPM and mixed
+  tables) must agree with the linear-scan :meth:`MatchActionTable.lookup`
+  for any table contents — hits, misses and default-action fallthroughs
+  alike — and the three dRMT drivers must agree end to end.
 """
 
 import functools
@@ -304,3 +306,262 @@ class TestExactLookupSpecialisation:
         ]
         assert fused.table_hits == tick.table_hits
         assert fused.register_dump == tick.register_dump
+
+
+MATCH_KINDS = ("exact", "ternary", "lpm")
+
+
+@functools.lru_cache(maxsize=None)
+def _one_table_bundle(kinds, width):
+    """A program with one table ``t`` reading ``pkt.f<i>`` with ``kinds``."""
+    from repro.drmt import DrmtHardwareParams, generate_bundle
+
+    fields = "".join(f"f{index} : {width}; " for index in range(len(kinds)))
+    reads = "".join(f"pkt.f{index} : {kind}; " for index, kind in enumerate(kinds))
+    source = f"""
+header_type pkt_t {{ fields {{ {fields}}} }}
+header pkt_t pkt;
+action act(x) {{ no_op(); }}
+table t {{ reads {{ {reads}}} actions {{ act; }} size : 64; }}
+control ingress {{ apply(t); }}
+"""
+    return generate_bundle(source, DrmtHardwareParams(num_processors=1))
+
+
+@st.composite
+def _match_pattern(draw, kind, width):
+    from repro.drmt.tables import MatchPattern
+
+    full = (1 << width) - 1
+    # Values from a small domain so keys collide and priorities contest.
+    value = draw(st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=full))
+    if kind == "exact":
+        return MatchPattern(kind="exact", value=value, width=width)
+    if kind == "ternary":
+        # 0b0011 and 0b0101 have equal popcount: a specificity tie between masks.
+        mask = draw(
+            st.none()
+            | st.sampled_from([0, 0b0011, 0b0101, 0b1100, full])
+            | st.integers(min_value=0, max_value=full)
+        )
+        return MatchPattern(kind="ternary", value=value, mask=mask, width=width)
+    # Prefixes past the width act as exact matches; /0 matches everything.
+    prefix = draw(st.none() | st.integers(min_value=0, max_value=width + 2))
+    return MatchPattern(kind="lpm", value=value, prefix_len=prefix, width=width)
+
+
+class TestMaskGroupLookup:
+    """The mask-group probes vs the linear-scan oracle.
+
+    Ternary, LPM and mixed tables are looked up through
+    :meth:`MatchActionTable.mask_groups`: by the generic driver via
+    :func:`probe_groups` and by the fused loop via its generated
+    ``probe_<table>`` function.  Both must return the very entry
+    :meth:`MatchActionTable.lookup` returns -- priorities, first-added
+    tie-breaks, overlapping and out-of-range prefixes, equal-popcount masks,
+    negative and out-of-width field values (``ipv4.ttl`` underflows) and
+    missing fields included.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_probes_agree_with_linear_scan(self, data):
+        from repro.drmt.tables import MatchActionTable, TableEntry, probe_groups
+
+        kinds = tuple(
+            data.draw(st.lists(st.sampled_from(MATCH_KINDS), min_size=1, max_size=3), label="kinds")
+        )
+        width = data.draw(st.sampled_from([4, 8]), label="width")
+        bundle = _one_table_bundle(kinds, width)
+        field_names = [f"pkt.f{index}" for index in range(len(kinds))]
+        table = MatchActionTable(bundle.program.tables["t"], bundle.program)
+        entries = data.draw(
+            st.lists(
+                st.tuples(
+                    st.tuples(*[_match_pattern(kind, width) for kind in kinds]),
+                    st.integers(min_value=0, max_value=2),  # priority
+                ),
+                max_size=16,
+            ),
+            label="entries",
+        )
+        for position, (patterns, priority) in enumerate(entries):
+            table.add_entry(
+                TableEntry(
+                    patterns=dict(zip(field_names, patterns)),
+                    action="act",
+                    action_args=[position],
+                    priority=priority,
+                )
+            )
+        groups = table.mask_groups()
+        bounds = [group[0] for group in groups]
+        assert bounds == sorted(bounds, reverse=True)
+        if table.is_exact:
+            index = table.exact_index()
+        else:
+            probe = bundle.fused_program().namespace["probe_t"]
+        field_value = st.integers(min_value=0, max_value=3) | st.integers(
+            min_value=-(1 << width), max_value=1 << (width + 1)
+        )
+        packets = data.draw(
+            st.lists(
+                st.dictionaries(st.sampled_from(field_names), field_value),
+                max_size=12,
+            ),
+            label="packets",
+        )
+        for fields in packets:
+            expected = table.lookup(fields)
+            values = [fields.get(name, 0) for name in field_names]
+            assert probe_groups(groups, values) is expected, fields
+            if table.is_exact:
+                assert index.get(tuple(values)) is expected, fields
+            else:
+                assert probe(groups, fields) is expected, fields
+
+    def test_equal_rank_prefers_first_added(self):
+        """Same priority and specificity in two groups: the earlier entry wins."""
+        from repro.drmt.tables import MatchActionTable, MatchPattern, TableEntry
+
+        bundle = _one_table_bundle(("ternary",), 4)
+        table = MatchActionTable(bundle.program.tables["t"], bundle.program)
+        for position, mask in enumerate((0b0101, 0b0011)):
+            table.add_entry(
+                TableEntry(
+                    patterns={"pkt.f0": MatchPattern(kind="ternary", value=0, mask=mask, width=4)},
+                    action="act",
+                    action_args=[position],
+                )
+            )
+        probe = bundle.fused_program().namespace["probe_t"]
+        assert probe(table.mask_groups(), {"pkt.f0": 0}) is table.entries[0]
+        assert table.lookup({"pkt.f0": 0}) is table.entries[0]
+        # 0b0100 only matches the second mask's group.
+        assert probe(table.mask_groups(), {"pkt.f0": 0b0100}) is table.entries[1]
+        assert table.lookup({"pkt.f0": 0b0100}) is table.entries[1]
+
+    def test_later_group_hit_must_outrank_the_current_best(self):
+        """A later group is probed when its bound is higher, but its hit may rank lower."""
+        from repro.drmt.tables import MatchActionTable, MatchPattern, TableEntry, probe_groups
+
+        bundle = _one_table_bundle(("ternary",), 4)
+        table = MatchActionTable(bundle.program.tables["t"], bundle.program)
+        for value, mask, priority in ((1, 0xF, 2), (2, 0xF, 0), (1, 0x3, 1), (2, 0x3, 0)):
+            table.add_entry(
+                TableEntry(
+                    patterns={"pkt.f0": MatchPattern(kind="ternary", value=value, mask=mask, width=4)},
+                    action="act",
+                    priority=priority,
+                )
+            )
+        # Mask 0xF ranks first (bound: priority 2); mask 0x3 (bound: priority 1)
+        # outranks the full-mask hit on 2, yet its own hit on 2 ranks below it.
+        probe = bundle.fused_program().namespace["probe_t"]
+        assert table.lookup({"pkt.f0": 2}) is table.entries[1]
+        assert probe(table.mask_groups(), {"pkt.f0": 2}) is table.entries[1]
+        assert probe_groups(table.mask_groups(), [2]) is table.entries[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _router_bundle(num_processors):
+    from repro.drmt import DrmtHardwareParams, generate_bundle
+    from repro.p4 import samples
+
+    return generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=num_processors))
+
+
+class TestRandomRouterEntries:
+    """fused == generic == tick on simple_router with random table contents."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_drivers_agree(self, data):
+        from repro.drmt import DRMTSimulator
+        from repro.drmt.tables import MatchPattern, TableEntry
+        from repro.traffic import PacketGenerator, choice_field
+
+        bundle = _router_bundle(data.draw(st.integers(min_value=1, max_value=4), label="processors"))
+        addresses = data.draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1, max_size=4),
+            label="addresses",
+        )
+        priority = st.integers(min_value=0, max_value=2)
+        entries = [
+            (
+                "forward",
+                TableEntry(
+                    patterns={
+                        "ipv4.dstAddr": MatchPattern(
+                            kind="lpm",
+                            value=data.draw(st.sampled_from(addresses)),
+                            prefix_len=data.draw(st.integers(min_value=0, max_value=32)),
+                            width=32,
+                        )
+                    },
+                    action=data.draw(st.sampled_from(["set_nhop", "on_miss"])),
+                    action_args=[data.draw(st.integers(min_value=0, max_value=3))],
+                    priority=data.draw(priority),
+                ),
+            )
+            for _ in range(data.draw(st.integers(min_value=0, max_value=6), label="routes"))
+        ]
+        entries.extend(
+            (
+                "acl",
+                TableEntry(
+                    patterns={
+                        "meta.egress_port": MatchPattern(
+                            kind="exact", value=data.draw(st.integers(0, 3)), width=16
+                        ),
+                        "ipv4.protocol": MatchPattern(
+                            kind="ternary",
+                            value=data.draw(st.sampled_from([0, 6, 17])),
+                            mask=data.draw(st.sampled_from([None, 0, 0x0F, 0xF0, 0xFF])),
+                            width=8,
+                        ),
+                    },
+                    action=data.draw(st.sampled_from(["drop_packet", "allow"])),
+                    priority=data.draw(priority),
+                ),
+            )
+            for _ in range(data.draw(st.integers(min_value=0, max_value=5), label="rules"))
+        )
+        entries.extend(
+            (
+                "flow_stats",
+                TableEntry(
+                    patterns={"ipv4.srcAddr": MatchPattern(kind="exact", value=source, width=32)},
+                    action="count_flow",
+                    action_args=[data.draw(st.integers(min_value=0, max_value=70))],
+                ),
+            )
+            for source in data.draw(st.lists(st.integers(0, 3), max_size=3, unique=True), label="flows")
+        )
+        packets = PacketGenerator(
+            bundle.program,
+            seed=data.draw(st.integers(min_value=0, max_value=2**16), label="seed"),
+            field_overrides={
+                "ipv4.dstAddr": choice_field(addresses + [0, (1 << 32) - 1]),
+                "ipv4.protocol": choice_field([0, 6, 17, 0x1F]),
+                "ipv4.srcAddr": choice_field([0, 1, 2, 3]),
+                "ipv4.ttl": choice_field([0, 1, 64]),  # 0 underflows to -1
+            },
+        ).generate(data.draw(st.integers(min_value=0, max_value=40), label="count"))
+
+        results = {
+            engine: DRMTSimulator(bundle, table_entries=list(entries), engine=engine).run_packets(packets)
+            for engine in ("tick", "generic", "fused")
+        }
+        tick = results["tick"]
+        for engine in ("generic", "fused"):
+            other = results[engine]
+            assert other.engine == engine
+            assert [record.outputs for record in other.records] == [
+                record.outputs for record in tick.records
+            ], engine
+            assert [record.dropped for record in other.records] == [
+                record.dropped for record in tick.records
+            ], engine
+            assert other.table_hits == tick.table_hits, engine
+            assert other.register_dump == tick.register_dump, engine

@@ -145,9 +145,9 @@ GOLDEN: Dict[str, str] = {
     "source/spam_detection/2": "5021525b3c6078b06c354fbb7d019fa47e5fb2986fbe5fafe50f3dc63240fbdb",
     "source/spam_detection/3": "7062adbe6b2c08c7088fc81cb38a95b075518d4b6bb971f6ac9d50b38421e094",
     "phvs/spam_detection": "0a369b39dea5e742a837e577156182af646a1af3785022218171a4c64d9e8ae6",
-    "drmt_fused/simple_router": "fe80f41a724eb95da8de38d2cd57d64864f34ee392e8057bb890e957366ef6f6",
+    "drmt_fused/simple_router": "723f87cada607de81239f86f0599d5caec79b0acfc517eba4ac34502490319b4",
     "packets/simple_router": "35e68ca7688ce366b66e201d0a6c93b7d731171565e4c18247ff5e3f1192e2e6",
-    "drmt_fused/telemetry_pipeline": "9cc3971725781adb7ffe7dd12adf0335ba1bcfd7082bb884feb271d742b17678",
+    "drmt_fused/telemetry_pipeline": "00eaf91e4a7dd8caa39ca181b4a3f268f1343c82e519a26b0d2f9e820bf94933",
     "packets/telemetry_pipeline": "24009e878348c2ce00c1b52de38eff6fe11114c961ea635bd8a7c4544fae5f38",
 }
 
