@@ -7,12 +7,9 @@ per-stage journey of any PHV.
 
 from .recorder import (
     ExecutionRecording,
-    FusedRecording,
-    FusedStageSnapshot,
     StageOccupancy,
     TickSnapshot,
     record_execution,
-    record_fused_execution,
 )
 from .session import (
     Breakpoint,
@@ -24,10 +21,7 @@ from .session import (
 
 __all__ = [
     "record_execution",
-    "record_fused_execution",
     "ExecutionRecording",
-    "FusedRecording",
-    "FusedStageSnapshot",
     "TickSnapshot",
     "StageOccupancy",
     "TimeTravelDebugger",

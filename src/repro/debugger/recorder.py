@@ -146,120 +146,19 @@ class ExecutionRecording:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FusedStageSnapshot:
-    """One PHV leaving one stage of the fused loop.
-
-    ``phv`` holds the stage's output containers (the write half of the tick
-    model) and ``state`` the stage's state vectors immediately after the
-    (PHV, stage) execution — i.e. exactly what the tick model shows at the
-    end of tick ``phv_id + stage``.
-    """
-
-    phv_id: int
-    stage: int
-    phv: tuple
-    state: tuple
-
-
-@dataclass
-class FusedRecording:
-    """A recording of the fused (opt level 3) fast path.
-
-    Where :class:`ExecutionRecording` snapshots the whole pipeline per tick,
-    the fused loop has no ticks: the recording is one
-    :class:`FusedStageSnapshot` per (PHV, stage) execution, in execution
-    order — which is what production runs actually compute (ROADMAP:
-    "debugger coverage for opt level 3").
-    """
-
-    description: PipelineDescription
-    inputs: List[List[int]]
-    snapshots: List[FusedStageSnapshot] = field(default_factory=list)
-    outputs: Dict[int, List[int]] = field(default_factory=dict)
-    final_state: Optional[List[List[List[int]]]] = None
-
-    @property
-    def depth(self) -> int:
-        """Pipeline depth of the recorded run."""
-        return self.description.spec.depth
-
-    def phv_journey(self, phv_id: int) -> List[FusedStageSnapshot]:
-        """Every per-stage snapshot of one PHV, in stage order."""
-        return [snapshot for snapshot in self.snapshots if snapshot.phv_id == phv_id]
-
-    def state_series(self, stage: int, slot: int, state_var: int = 0) -> List[int]:
-        """One state variable's value after every PHV passed ``stage``."""
-        return [
-            snapshot.state[slot][state_var]
-            for snapshot in self.snapshots
-            if snapshot.stage == stage
-        ]
-
-    def phv_output(self, phv_id: int) -> List[int]:
-        """The final container values of one PHV."""
-        if phv_id not in self.outputs:
-            raise SimulationError(f"PHV {phv_id} was not part of the recorded run")
-        return list(self.outputs[phv_id])
-
-
-def record_fused_execution(
-    description: PipelineDescription,
-    inputs: Sequence[Sequence[int]],
-    initial_state: Optional[List[List[List[int]]]] = None,
-    runtime_values: Optional[Dict[str, int]] = None,
-) -> FusedRecording:
-    """Run the fused fast path while recording every (PHV, stage) execution.
-
-    Requires a description generated at opt level 3 (whose module carries
-    the ``run_trace_observed`` entry point); raises
-    :class:`SimulationError` otherwise.  For a feedforward pipeline the
-    snapshots agree with the tick recorder: the snapshot of (PHV ``p``,
-    stage ``s``) equals the tick model's stage-``s`` write half and state at
-    the end of tick ``p + s``.
-    """
-    if description.observed_function is None:
-        raise SimulationError(
-            "description carries no observed fused entry point "
-            f"(opt level {description.opt_level}); generate at opt level 3"
-        )
-    from ..engine.rmt import run_fused
-
-    if initial_state is not None:
-        # The fused loop mutates the state it is given; keep the caller's
-        # vectors pristine (and the recording's final_state unaliased).
-        initial_state = [[list(alu) for alu in stage] for stage in initial_state]
-    recording = FusedRecording(
-        description=description, inputs=[list(values) for values in inputs]
-    )
-
-    def observer(phv_index: int, stage: int, phv: List[int], stage_state) -> None:
-        recording.snapshots.append(
-            FusedStageSnapshot(
-                phv_id=phv_index,
-                stage=stage,
-                phv=tuple(phv),
-                state=tuple(tuple(alu_state) for alu_state in stage_state),
-            )
-        )
-
-    result = run_fused(
-        description, inputs, runtime_values, initial_state, observer=observer
-    )
-    recording.outputs = {
-        record.phv_id: list(record.outputs) for record in result.output_trace
-    }
-    recording.final_state = result.final_state
-    return recording
-
-
 def record_execution(
     description: PipelineDescription,
     inputs: Sequence[Sequence[int]],
     initial_state: Optional[List[List[List[int]]]] = None,
     runtime_values: Optional[Dict[str, int]] = None,
 ) -> ExecutionRecording:
-    """Simulate ``inputs`` through ``description`` while recording every tick."""
+    """Simulate ``inputs`` through ``description`` while recording every tick.
+
+    The pipeline mutates the state it is given, so ``initial_state`` is
+    copied first and the caller's vectors stay as they were.
+    """
+    if initial_state is not None:
+        initial_state = [[list(alu) for alu in stage] for stage in initial_state]
     pipeline = Pipeline(description, runtime_values=runtime_values, initial_state=initial_state)
     recording = ExecutionRecording(description=description, inputs=[list(v) for v in inputs])
 

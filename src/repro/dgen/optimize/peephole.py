@@ -48,10 +48,9 @@ same strings recur constantly (one operand load per ALU, one invalidation
 check per recorded copy per store), so the pass works through a
 :class:`PeepholeMemo`: parsed name sets, purity verdicts and folds, the
 latter keyed on (source, the literal bindings of the names it loads,
-condition flag).  A memo lives for one code generation: dgen shares one
-between ``run_trace`` and its observed twin, and the dRMT fused generator
-between its two entry points.  Nothing outlives the generation, so every
-generated program pays for its own analysis and memory stays flat.
+condition flag).  A memo lives for one :func:`peephole_block` call, the
+one loop body of a generated ``run_trace``.  Nothing outlives that call, so
+every generated program pays for its own analysis and memory stays flat.
 """
 
 from __future__ import annotations
@@ -299,7 +298,7 @@ def _is_pure_expr(source: str) -> bool:
 
 
 class PeepholeMemo:
-    """Memoised string analyses for one code generation (see the module docstring)."""
+    """Memoised string analyses for one block (see the module docstring)."""
 
     def __init__(self) -> None:
         self._names: Dict[str, FrozenSet[str]] = {}
@@ -554,14 +553,7 @@ def _eliminate_dead_stores(
     return list(reversed(kept_reversed))
 
 
-def peephole_block(
-    statements: Sequence[ir.IRStmt], memo: Optional[PeepholeMemo] = None
-) -> List[ir.IRStmt]:
-    """Run the full pass over one loop body (or any straight-line block).
-
-    Pass one ``memo`` to every block of the same code generation to share
-    its analyses; without one the block gets a fresh memo of its own.
-    """
-    if memo is None:
-        memo = PeepholeMemo()
+def peephole_block(statements: Sequence[ir.IRStmt]) -> List[ir.IRStmt]:
+    """Run the full pass over one loop body (or any straight-line block)."""
+    memo = PeepholeMemo()
     return _eliminate_dead_stores(_propagate(statements, _Scope(memo)), memo)

@@ -32,14 +32,6 @@ group, stopping once the best hit outranks every later group).  Hit/miss
 counts are accumulated in locals and folded back into the table's counters
 on exit, so the observable statistics stay identical to the interpreter's.
 
-A second entry point, ``run_trace_observed``, additionally calls
-``observer(packet_id, processor, tick, fields)`` after every (packet,
-cycle-segment) execution: the per-processor snapshot hook that lets
-debugging tools watch what the production fast path computes.  It is
-generated into the program's namespace the first time
-:attr:`DrmtFusedProgram.run_trace_observed` is read, and is not part of
-:attr:`DrmtFusedProgram.source`.
-
 :func:`run_to_completion_hazard` is the static analysis used by the
 *generic* (non-generated) run-to-completion driver in
 :mod:`repro.engine.drmt`: plain per-packet run-to-completion reorders
@@ -51,7 +43,7 @@ for which that fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dgen.optimize.peephole import peephole_block
@@ -61,9 +53,8 @@ from ..ir.printer import to_source
 from ..p4.program import Action, P4Program, Table
 from .scheduler import ACTION_OP, MATCH_OP, Operation, Schedule
 
-#: Names of the generated entry points.
+#: Name of the generated entry point.
 RUN_TRACE_FUNCTION_NAME = "run_trace"
-RUN_TRACE_OBSERVED_FUNCTION_NAME = "run_trace_observed"
 
 
 def _ident(name: str) -> str:
@@ -198,17 +189,8 @@ class DrmtFusedGenerator:
         if probed:
             module.globals.append(ir.Assign("NO_HIT", "(-1, None)"))
         module.functions.extend(self._probe_function(name) for name in probed)
-        module.functions.append(self._run_trace_function(observed=False))
+        module.functions.append(self._run_trace_function())
         module.trailer.append(ir.Assign("RUN_TRACE", RUN_TRACE_FUNCTION_NAME))
-        return module
-
-    def generate_observed(self) -> ir.Module:
-        """Build ``run_trace_observed``; it runs in the namespace of :meth:`generate`'s module."""
-        module = ir.Module()
-        module.functions.append(self._run_trace_function(observed=True))
-        module.trailer.append(
-            ir.Assign("RUN_TRACE_OBSERVED", RUN_TRACE_OBSERVED_FUNCTION_NAME)
-        )
         return module
 
     def _probe_function(self, table_name: str) -> ir.FunctionDef:
@@ -255,8 +237,8 @@ class DrmtFusedGenerator:
             ),
         )
 
-    def _run_trace_function(self, observed: bool) -> ir.FunctionDef:
-        """``run_trace`` or, with ``observed``, its snapshot-hook twin."""
+    def _run_trace_function(self) -> ir.FunctionDef:
+        """``run_trace(packets, tables, registers)``: the fused trace loop."""
         segments = _segments(self.schedule)
         body: List[ir.IRStmt] = []
         body.append(ir.Assign("n", "len(packets)"))
@@ -281,9 +263,8 @@ class DrmtFusedGenerator:
                 body.append(
                     ir.Assign(f"reg_{_ident(register_name)}", f"registers[{register_name!r}]")
                 )
-            loop_body = self._tick_loop_body(segments, observed)
-            tick_loop = ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body))
-            body.append(tick_loop)
+            loop_body = self._tick_loop_body(segments)
+            body.append(ir.For("t", "range(n + MAKESPAN - 1)", peephole_block(loop_body)))
             for table_name in self.program.table_order():
                 safe = _ident(table_name)
                 body.append(
@@ -295,38 +276,23 @@ class DrmtFusedGenerator:
                     )
                 )
         body.append(ir.Return("dropped"))
-        params = ["packets", "tables", "registers"]
-        if observed:
-            params.append("observer")
         return ir.FunctionDef(
-            name=RUN_TRACE_OBSERVED_FUNCTION_NAME if observed else RUN_TRACE_FUNCTION_NAME,
-            params=params,
+            name=RUN_TRACE_FUNCTION_NAME,
+            params=["packets", "tables", "registers"],
             body=body,
             docstring=(
                 "Fused dRMT trace loop: walk global ticks and execute the inlined "
                 "per-cycle operation segments in the tick interpreter's exact "
                 "packet/processor interleaving.  Mutates the packet field dicts and "
                 "register arrays in place and returns the per-packet dropped flags."
-                + (
-                    "  Calls observer(packet_id, processor, tick, fields) after every "
-                    "(packet, cycle) execution; the hook receives the live field dict."
-                    if observed
-                    else ""
-                )
             ),
         )
 
-    def _tick_loop_body(
-        self, segments: Dict[int, List[Operation]], observed: bool
-    ) -> List[ir.IRStmt]:
-        dispatch: List[Tuple[str, List[ir.IRStmt]]] = []
-        for cycle in sorted(segments):
-            stmts = self._segment_stmts(segments[cycle])
-            if observed:
-                stmts.append(
-                    ir.ExprStmt("observer(p, p % NUM_PROCESSORS, t, fields)")
-                )
-            dispatch.append((f"c == {cycle}", stmts))
+    def _tick_loop_body(self, segments: Dict[int, List[Operation]]) -> List[ir.IRStmt]:
+        dispatch: List[Tuple[str, List[ir.IRStmt]]] = [
+            (f"c == {cycle}", self._segment_stmts(segments[cycle]))
+            for cycle in sorted(segments)
+        ]
         inner: List[ir.IRStmt] = [
             ir.Assign("p", "t - c"),
             ir.If(
@@ -544,41 +510,23 @@ class DrmtFusedGenerator:
 class DrmtFusedProgram:
     """A compiled fused dRMT program plus its provenance.
 
-    ``module``, ``source`` and ``namespace`` hold the production module:
-    the table probes and ``run_trace``.  The observed twin is generated
-    into the same namespace the first time :attr:`run_trace_observed` is
-    read, so programs that are only run never pay for it.
+    ``module``, ``source`` and ``namespace`` hold the generated module:
+    the table probes and ``run_trace``.
     """
 
     module: ir.Module
     source: str
     namespace: Dict[str, object]
     hazard: Optional[str]
-    generator: DrmtFusedGenerator = field(repr=False, compare=False)
 
     @property
     def run_trace(self) -> Callable:
         """The generated ``run_trace(packets, tables, registers)`` entry point."""
         return self.namespace["RUN_TRACE"]  # type: ignore[return-value]
 
-    @property
-    def run_trace_observed(self) -> Callable:
-        """The observed variant (per-processor snapshot hooks), built on first use."""
-        if "RUN_TRACE_OBSERVED" not in self.namespace:
-            _exec_module(self.generator.generate_observed(), self.namespace, "_observed")
-        return self.namespace["RUN_TRACE_OBSERVED"]  # type: ignore[return-value]
-
     def source_line_count(self) -> int:
         """Number of non-blank source lines (the Figure 6 code-size metric)."""
         return sum(1 for line in self.source.splitlines() if line.strip())
-
-
-def _exec_module(module: ir.Module, namespace: Dict[str, object], suffix: str = "") -> str:
-    """Render ``module``, run it in ``namespace`` and return its source."""
-    source = to_source(module)
-    code = compile(source, filename=f"<{namespace['__name__']}{suffix}>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
-    return source
 
 
 def generate_fused(
@@ -588,15 +536,16 @@ def generate_fused(
     module_name: str = "druzhba_drmt_fused_program",
 ) -> DrmtFusedProgram:
     """Generate, render, compile and wrap the fused program for one bundle."""
-    generator = DrmtFusedGenerator(program, schedule, num_processors)
-    module = generator.generate()
+    module = DrmtFusedGenerator(program, schedule, num_processors).generate()
+    source = to_source(module)
     namespace: Dict[str, object] = {"__name__": module_name}
+    code = compile(source, filename=f"<{module_name}>", mode="exec")
+    exec(code, namespace)  # noqa: S102 - executing our own generated code is the point of dgen
     fused = DrmtFusedProgram(
         module=module,
-        source=_exec_module(module, namespace),
+        source=source,
         namespace=namespace,
         hazard=run_to_completion_hazard(program, schedule),
-        generator=generator,
     )
     if not callable(fused.run_trace):
         raise CodegenError("fused dRMT generation produced no callable run_trace")

@@ -29,9 +29,10 @@ table-hit state exactly like the tick interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import DruzhbaError, SimulationError
+from ..engine.base import ENGINE_AUTO, ENGINE_FUSED, ENGINE_GENERIC, ENGINE_TICK, resolve_engine
+from ..errors import CodegenError, SimulationError
 from ..traffic import PacketGenerator
 from .codegen import DrmtProgramBundle
 from .processor import MatchActionProcessor, PacketContext, RegisterFile
@@ -148,7 +149,6 @@ class DRMTSimulator:
         self,
         packets: Sequence[Dict[str, int]],
         tick_accurate: bool = False,
-        observer: Optional[Callable] = None,
     ) -> DrmtSimulationResult:
         """Simulate an explicit packet trace (one packet injected per tick).
 
@@ -156,19 +156,14 @@ class DRMTSimulator:
         prefers the bundle's fused ``run_trace`` (falling back to the
         generic run-to-completion driver when it is provably faithful, and
         to the tick interpreter otherwise); ``tick_accurate=True`` always
-        forces the per-tick model.  ``observer`` (fused only) receives
-        ``(packet_id, processor, tick, fields)`` after every (packet, cycle)
-        execution.  Every driver runs on ``int``-coerced copies of the
-        packets; records keep the caller's values as ``inputs``.
+        forces the per-tick model.  Every driver runs on ``int``-coerced
+        copies of the packets; records keep the caller's values as
+        ``inputs``.
         """
         mode = self._resolve_mode(tick_accurate)
-        if observer is not None and mode != "fused":
-            raise SimulationError(
-                f"snapshot observers require the fused engine, not {mode!r}"
-            )
-        if mode == "tick":
+        if mode == ENGINE_TICK:
             return self._run_tick(packets)
-        return self._run_sequential(packets, mode, observer)
+        return self._run_sequential(packets, mode)
 
     # Engine-protocol alias: packet dicts in, result out.
     run = run_packets
@@ -177,22 +172,19 @@ class DRMTSimulator:
         self,
         packets: Sequence[Dict[str, int]],
         mode: str,
-        observer: Optional[Callable] = None,
     ) -> DrmtSimulationResult:
         """Run the whole trace under one sequential driver (generic or fused)."""
         from ..engine import drmt as drivers
 
         inputs, work = drivers.prepare_packets(packets)
-        if mode == "generic":
+        if mode == ENGINE_GENERIC:
             if self._generic_driver is None:
                 self._generic_driver = drivers.RunToCompletionDriver(
                     self.bundle, self.tables, self.registers
                 )
             dropped = self._generic_driver.run(work)
         else:
-            dropped = drivers.run_fused(
-                self.bundle, self.tables, self.registers, work, observer=observer
-            )
+            dropped = drivers.run_fused(self.bundle, self.tables, self.registers, work)
         return drivers.assemble_result(
             self.bundle,
             self.tables,
@@ -205,26 +197,27 @@ class DRMTSimulator:
         )
 
     def _resolve_mode(self, tick_accurate: bool) -> str:
-        """dRMT-specific engine selection (generic is gated by the hazard analysis)."""
-        from ..engine.base import ENGINE_CHOICES
+        """Pick the driver: :func:`resolve_engine`'s rules plus dRMT's ``auto`` ladder.
+
+        Every bundle can attempt fused generation, so explicit engines and
+        ``tick_accurate`` resolve as usual.  ``auto`` tries fused, then the
+        generic driver when the hazard analysis proves it faithful, then
+        tick; only a :class:`CodegenError` (fused generation failing) moves
+        it down the ladder.
+        """
         from .fused import run_to_completion_hazard
 
-        if self.engine not in ENGINE_CHOICES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; choose one of {', '.join(ENGINE_CHOICES)}"
-            )
-        if tick_accurate or self.engine == "tick":
-            return "tick"
-        if self.engine == "auto":
-            try:
-                self.bundle.fused_program()
-                return "fused"
-            except DruzhbaError:
-                pass
-            if run_to_completion_hazard(self.bundle.program, self.bundle.schedule) is None:
-                return "generic"
-            return "tick"
-        return self.engine
+        mode = resolve_engine(self.engine, True, tick_accurate, context="dRMT program")
+        if self.engine != ENGINE_AUTO or mode == ENGINE_TICK:
+            return mode
+        try:
+            self.bundle.fused_program()
+            return ENGINE_FUSED
+        except CodegenError:
+            pass
+        if run_to_completion_hazard(self.bundle.program, self.bundle.schedule) is None:
+            return ENGINE_GENERIC
+        return ENGINE_TICK
 
     def _run_tick(self, packets: Sequence[Dict[str, int]]) -> DrmtSimulationResult:
         """The paper's per-tick round-robin processor loop."""

@@ -75,34 +75,57 @@ def parse_pattern(text: str, kind: str, width: int) -> MatchPattern:
 
 
 def parse_entry_line(line: str, program: P4Program, line_number: int = 0) -> Tuple[str, TableEntry]:
-    """Parse one ``add`` line into ``(table name, entry)``."""
+    """Parse one ``add`` line into ``(table name, entry)``.
+
+    Every malformed line raises :class:`TableConfigError` naming
+    ``line_number``: an unknown table or field, a field matched twice, text
+    in the match list that is not ``field=pattern``, a bad pattern or
+    argument, or an argument count that differs from the action's
+    parameters.
+    """
+    try:
+        return _parse_entry(line, program)
+    except TableConfigError as error:
+        raise TableConfigError(f"line {line_number}: {error}") from None
+
+
+def _parse_entry(line: str, program: P4Program) -> Tuple[str, TableEntry]:
     match = _LINE_RE.match(line.strip())
     if match is None:
-        raise TableConfigError(f"line {line_number}: cannot parse table entry {line!r}")
+        raise TableConfigError(f"cannot parse table entry {line!r}")
     table_name = match.group("table")
     table = program.tables.get(table_name)
     if table is None:
-        raise TableConfigError(f"line {line_number}: unknown table {table_name!r}")
+        raise TableConfigError(f"unknown table {table_name!r}")
 
+    matches_text = match.group("matches")
+    stray = _MATCH_RE.sub("", matches_text).strip()
+    if stray:
+        raise TableConfigError(f"{stray!r} is not a field=pattern match")
     declared_kinds: Dict[str, str] = {read.field: read.match_kind for read in table.reads}
     patterns: Dict[str, MatchPattern] = {}
-    for field_match in _MATCH_RE.finditer(match.group("matches")):
+    for field_match in _MATCH_RE.finditer(matches_text):
         field_name = field_match.group("field")
         if field_name not in declared_kinds:
-            raise TableConfigError(
-                f"line {line_number}: table {table_name!r} does not match on {field_name!r}"
-            )
-        width = program.field_width(field_name)
-        try:
-            patterns[field_name] = parse_pattern(
-                field_match.group("pattern"), declared_kinds[field_name], width
-            )
-        except TableConfigError as error:
-            raise TableConfigError(f"line {line_number}: {error}") from None
+            raise TableConfigError(f"table {table_name!r} does not match on {field_name!r}")
+        if field_name in patterns:
+            raise TableConfigError(f"field {field_name!r} is matched more than once")
+        patterns[field_name] = parse_pattern(
+            field_match.group("pattern"),
+            declared_kinds[field_name],
+            program.field_width(field_name),
+        )
 
+    action_name = match.group("action")
     args_text = match.group("args").strip()
     action_args = [_parse_int(arg) for arg in args_text.split(",")] if args_text else []
-    entry = TableEntry(patterns=patterns, action=match.group("action"), action_args=action_args)
+    action = program.actions.get(action_name)
+    if action is not None and len(action_args) != len(action.params):
+        raise TableConfigError(
+            f"action {action_name!r} takes {len(action.params)} argument(s) "
+            f"({', '.join(action.params) or 'none'}), got {len(action_args)}"
+        )
+    entry = TableEntry(patterns=patterns, action=action_name, action_args=action_args)
     return table_name, entry
 
 

@@ -321,15 +321,6 @@ def run_fused(
     tables,
     registers,
     work: Sequence[Dict[str, int]],
-    observer: Optional[Callable] = None,
 ) -> List[bool]:
-    """Execute the bundle's generated fused loop on prepared packet dicts.
-
-    With an ``observer`` the observed twin runs instead; it is generated the
-    first time it is needed.
-    """
-    fused = bundle.fused_program()
-    arrays = registers.arrays()
-    if observer is None:
-        return fused.run_trace(work, tables.tables, arrays)
-    return fused.run_trace_observed(work, tables.tables, arrays, observer)
+    """Execute the bundle's generated fused loop on prepared packet dicts."""
+    return bundle.fused_program().run_trace(work, tables.tables, registers.arrays())

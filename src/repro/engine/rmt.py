@@ -146,17 +146,9 @@ def run_fused(
     phv_values: Sequence[Sequence[int]],
     runtime_values: Optional[Dict[str, int]],
     initial_state: Optional[List[List[List[int]]]],
-    observer: Optional[Callable] = None,
 ) -> SimulationResult:
-    """Fused driver: the generated ``run_trace`` loop (opt level 3).
-
-    With ``observer`` set, the observed variant of the loop is used instead:
-    after every (PHV, stage) execution it calls
-    ``observer(phv_index, stage, phv, stage_state)`` with the live output
-    containers and the stage's state vectors (snapshot them if you keep
-    them), which is what the debugger's fused recorder consumes.
-    """
-    fused = description.fused_function if observer is None else description.observed_function
+    """Fused driver: the generated ``run_trace`` loop (opt level 3)."""
+    fused = description.fused_function
     if fused is None:
         raise SimulationError(
             "description carries no fused run_trace entry point "
@@ -165,10 +157,7 @@ def run_fused(
     inputs, work = prepare_inputs(description, phv_values)
     state = initial_state if initial_state is not None else description.initial_state()
     values = runtime_values if runtime_values is not None else description.runtime_values()
-    if observer is None:
-        outputs = fused(work, state, values)
-    else:
-        outputs = fused(work, state, values, observer)
+    outputs = fused(work, state, values)
     return sequential_result(
         inputs, outputs, state, description.spec.depth, ENGINE_FUSED
     )

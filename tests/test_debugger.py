@@ -176,107 +176,60 @@ class TestRecordingLevel0:
         assert recording.phv_output(1) == [1]  # old packet count after one packet
 
 
-class TestFusedRecording:
-    """Recording what the production (opt level 3) fast path actually runs."""
+class TestTickRecordingAtOptLevel3:
+    """The tick recorder follows a fused (opt level 3) description."""
 
     @pytest.fixture(scope="class")
-    def fused_and_tick(self):
-        from repro.debugger import record_fused_execution
+    def recorded_and_fused(self):
+        from repro.dsim import RMTSimulator
 
         program = get_program("flowlets")
         description = dgen.generate(
             program.pipeline_spec(), program.machine_code(), opt_level=3
         )
         inputs = program.traffic_generator(seed=11).generate(30)
-        fused = record_fused_execution(
+        recording = record_execution(
             description, inputs, initial_state=program.initial_pipeline_state()
         )
-        tick = record_execution(
-            description, inputs, initial_state=program.initial_pipeline_state()
-        )
-        return fused, tick, description
-
-    def test_one_snapshot_per_phv_stage(self, fused_and_tick):
-        fused, _tick, description = fused_and_tick
-        assert len(fused.snapshots) == len(fused.inputs) * description.spec.depth
-
-    def test_snapshots_match_tick_recorder(self, fused_and_tick):
-        """(PHV p, stage s) in the fused loop == tick model at tick p + s."""
-        fused, tick, _description = fused_and_tick
-        for snapshot in fused.snapshots:
-            tick_index = snapshot.phv_id + snapshot.stage
-            tick_snapshot = tick.snapshot(tick_index)
-            occupancy = tick_snapshot.stage(snapshot.stage)
-            assert occupancy.phv_id == snapshot.phv_id
-            assert occupancy.write == snapshot.phv
-            assert tick_snapshot.state[snapshot.stage] == snapshot.state
-
-    def test_outputs_and_final_state_recorded(self, fused_and_tick):
-        fused, tick, _description = fused_and_tick
-        for phv_id in range(len(fused.inputs)):
-            assert fused.phv_output(phv_id) == tick.phv_output(phv_id)
-        assert fused.final_state is not None
-
-    def test_journey_and_state_series_queries(self, fused_and_tick):
-        fused, _tick, description = fused_and_tick
-        journey = fused.phv_journey(4)
-        assert [snapshot.stage for snapshot in journey] == list(
-            range(description.spec.depth)
-        )
-        series = fused.state_series(0, 0, 0)
-        assert len(series) == len(fused.inputs)
-
-    def test_unknown_phv_rejected(self, fused_and_tick):
-        fused, _tick, _description = fused_and_tick
-        with pytest.raises(SimulationError):
-            fused.phv_output(10_000)
-
-    def test_requires_opt_level_3(self):
-        from repro.debugger import record_fused_execution
-
-        program = get_program("sampling")
-        description = dgen.generate(
-            program.pipeline_spec(), program.machine_code(), opt_level=2
-        )
-        with pytest.raises(SimulationError):
-            record_fused_execution(description, [[0]])
-
-    def test_observed_and_fast_loops_agree(self):
-        """The observed twin of run_trace computes identical results."""
-        from repro.dsim import RMTSimulator
-        from repro.engine.rmt import run_fused
-
-        program = get_program("rcp")
-        description = dgen.generate(
-            program.pipeline_spec(), program.machine_code(), opt_level=3
-        )
-        inputs = program.traffic_generator(seed=2).generate(50)
-        fast = RMTSimulator(
+        fused = RMTSimulator(
             description, initial_state=program.initial_pipeline_state()
         ).run(inputs)
-        observed = run_fused(
-            description,
-            inputs,
-            None,
-            program.initial_pipeline_state(),
-            observer=lambda *args: None,
+        return recording, fused
+
+    def test_outputs_and_final_state_equal_fused_run(self, recorded_and_fused):
+        recording, fused = recorded_and_fused
+        assert fused.engine == "fused"
+        for phv_id, expected in enumerate(fused.outputs):
+            assert tuple(recording.phv_output(phv_id)) == expected
+        final = recording.snapshot(recording.num_ticks - 1).state
+        assert [[list(alu) for alu in stage] for stage in final] == fused.final_state
+
+    def test_journey_has_one_occupancy_per_stage(self, recorded_and_fused):
+        recording, _fused = recorded_and_fused
+        assert [occupancy.stage for occupancy in recording.phv_journey(4)] == list(
+            range(recording.depth)
         )
-        assert observed.outputs == fast.outputs
-        assert observed.final_state == fast.final_state
 
-    def test_fused_recording_does_not_mutate_caller_initial_state(self):
-        from repro.debugger import record_fused_execution
+    def test_state_series_has_one_value_per_tick(self, recorded_and_fused):
+        recording, _fused = recorded_and_fused
+        assert len(recording.state_series(0, 0, 0)) == recording.num_ticks
 
+    def test_unknown_phv_rejected(self, recorded_and_fused):
+        recording, _fused = recorded_and_fused
+        with pytest.raises(SimulationError):
+            recording.phv_output(10_000)
+
+    def test_recording_does_not_mutate_caller_initial_state(self):
         program = get_program("flowlets")
         description = dgen.generate(
             program.pipeline_spec(), program.machine_code(), opt_level=3
         )
         initial = program.initial_pipeline_state()
-        snapshot = [[list(alu) for alu in stage] for stage in initial]
+        pristine = [[list(alu) for alu in stage] for stage in initial]
         inputs = program.traffic_generator(seed=1).generate(20)
-        first = record_fused_execution(description, inputs, initial_state=initial)
-        first_final = [[list(alu) for alu in stage] for stage in first.final_state]
-        second = record_fused_execution(description, inputs, initial_state=initial)
-        assert initial == snapshot
-        assert first.final_state == first_final
-        assert second.final_state == first.final_state
+        first = record_execution(description, inputs, initial_state=initial)
+        second = record_execution(description, inputs, initial_state=initial)
+        final = [[list(alu) for alu in stage] for stage in first.snapshots[-1].state]
+        assert final != pristine  # the run moves the state ...
+        assert initial == pristine  # ... but not the caller's vectors
+        assert second.snapshots[-1].state == first.snapshots[-1].state

@@ -348,9 +348,8 @@ class TestPeephole:
         assert memo.fold("int(a)", {}, condition=True) == ("a", None)
         assert memo.fold("int(a)", {}) == ("int(a)", None)
 
-    def test_shared_memo_gives_the_same_block(self):
+    def test_block_folds_per_binding(self):
         from repro.dgen.optimize import peephole_block
-        from repro.dgen.optimize.peephole import PeepholeMemo
         from repro.ir import nodes as ir
 
         statements = [
@@ -362,15 +361,13 @@ class TestPeephole:
             ir.Assign("out", "int(bool(pkt_0 > 3) and bool(condition_1))"),
             ir.ExprStmt("sink(out)"),
         ]
-        memo = PeepholeMemo()
-        first = peephole_block(list(statements), memo)
+        first = peephole_block(list(statements))
         # The same ``out`` expression folds differently under each binding of
-        # ``condition_1``.
+        # ``condition_1``, although the block's memo caches it.
         assert [s.expression for s in first if getattr(s, "target", None) == "out"] == [
             "int(pkt_0 > 3)",
             "int(pkt_0 > 3 and False)",
         ]
-        assert peephole_block(list(statements), memo) == first
         assert peephole_block(list(statements)) == first
 
     def test_condition_wrappers_stripped(self):

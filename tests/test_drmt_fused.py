@@ -1,6 +1,8 @@
-"""dRMT fused codegen: bit-for-bit fidelity, hazard analysis, observers."""
+"""dRMT fused codegen: bit-for-bit fidelity, hazard analysis, driver selection."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.drmt import (
     run_to_completion_hazard,
 )
 from repro.drmt.fused import visit_orders
-from repro.errors import SimulationError
+from repro.errors import CodegenError, SimulationError
 from repro.p4 import samples
 
 SEEDS = (0, 7, 1234)
@@ -218,41 +220,36 @@ class TestVisitOrders:
             assert keys == sorted(keys)
 
 
-class TestObserver:
-    def test_observer_sees_every_live_packet_cycle(self):
-        factory, entries = PROGRAMS["simple_router"]
-        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=2))
-        packets = PacketGenerator(bundle.program, seed=1).generate(12)
-        events = []
+class TestAutoLadder:
+    """``auto`` steps down from fused only when fused generation fails."""
 
-        def observer(packet_id, processor, tick, fields):
-            events.append((packet_id, processor, tick, dict(fields)))
+    @pytest.mark.parametrize(
+        "source, expected",
+        [(samples.SIMPLE_ROUTER, "generic"), (HAZARD_PROGRAM, "tick")],
+    )
+    def test_codegen_error_falls_back(self, monkeypatch, source, expected):
+        bundle = generate_bundle(source, DrmtHardwareParams(num_processors=2))
 
-        result = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(
-            packets, observer=observer
-        )
-        assert result.engine == "fused"
-        assert events
-        active_cycles = len({start for start in bundle.schedule.start_times.values()})
-        assert len(events) <= len(packets) * active_cycles
-        for packet_id, processor, tick, fields in events:
-            assert processor == packet_id % 2
-            assert 0 <= tick - packet_id < bundle.schedule.makespan
-            assert isinstance(fields, dict)
-        # The last event of each packet carries its final field values.
-        final = {packet_id: fields for packet_id, _proc, _tick, fields in events}
-        for record in result.records:
-            if not record.dropped:
-                assert final[record.packet_id] == record.outputs
+        def fail():
+            raise CodegenError("no fused loop for this bundle")
 
-    def test_observer_requires_fused_engine(self):
-        factory, entries = PROGRAMS["simple_router"]
-        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=2))
-        packets = PacketGenerator(bundle.program, seed=1).generate(3)
-        with pytest.raises(SimulationError, match="observer"):
-            DRMTSimulator(bundle, table_entries=entries, engine="tick").run_packets(
-                packets, observer=lambda *args: None
-            )
+        monkeypatch.setattr(bundle, "fused_program", fail)
+        packets = PacketGenerator(bundle.program, seed=3).generate(10)
+        result = DRMTSimulator(bundle).run_packets(packets)
+        assert result.engine == expected
+        tick = DRMTSimulator(bundle, engine="tick").run_packets(packets)
+        equal, detail = _records_equal(tick, result)
+        assert equal, detail
+
+    def test_other_errors_propagate(self, monkeypatch):
+        bundle = generate_bundle(samples.simple_router(), DrmtHardwareParams(num_processors=2))
+
+        def fail():
+            raise SimulationError("broken bundle")
+
+        monkeypatch.setattr(bundle, "fused_program", fail)
+        with pytest.raises(SimulationError, match="broken bundle"):
+            DRMTSimulator(bundle).run_packets([{}])
 
 
 class TestNonIntPacketValues:
@@ -282,54 +279,21 @@ class TestNonIntPacketValues:
                 assert all(type(value) is int for value in record.outputs.values())
 
 
-class TestObservedTwinOnDemand:
-    """``run_trace_observed`` is generated on first access, not with the program."""
+def test_one_generated_loop_per_program():
+    """Every fused program, RMT and dRMT, defines ``run_trace`` and no other loop."""
+    from repro import dgen
+    from repro.programs import all_programs
 
-    def test_run_packets_never_builds_the_twin(self):
-        factory, entries = PROGRAMS["simple_router"]
-        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=2))
-        fused = bundle.fused_program()
-        packets = PacketGenerator(bundle.program, seed=2).generate(30)
-        assert DRMTSimulator(bundle, table_entries=entries).run_packets(packets).engine == "fused"
-        assert "RUN_TRACE_OBSERVED" not in fused.namespace
-        assert "run_trace_observed" not in fused.source
+    def loops(names):
+        return sorted(name for name in names if name.lower().startswith("run_trace"))
 
-    @pytest.mark.parametrize("num_processors", [1, 3])
-    def test_first_observed_run_matches_tick_snapshots(self, num_processors):
-        """(packet, cycle) snapshots of the fused twin == the tick interpreter's."""
-        factory, entries = PROGRAMS["simple_router"]
-        bundle = generate_bundle(factory(), DrmtHardwareParams(num_processors=num_processors))
-        packets = PacketGenerator(bundle.program, seed=11).generate(25)
-
-        fused_events = []
-        fused = DRMTSimulator(bundle, table_entries=entries, engine="fused").run_packets(
-            packets,
-            observer=lambda p, proc, t, fields: fused_events.append((p, proc, t, dict(fields))),
+    for program in all_programs():
+        description = dgen.generate(
+            program.pipeline_spec(), program.machine_code(), opt_level=3
         )
-        assert "RUN_TRACE_OBSERVED" in bundle.fused_program().namespace
-
-        tick_events = []
-        simulator = DRMTSimulator(bundle, table_entries=entries, engine="tick")
-        schedule = bundle.schedule
-        for processor in simulator.processors:
-            original = processor.tick
-
-            def tick(current, processor=processor, original=original):
-                live = [
-                    packet
-                    for packet in processor.in_flight
-                    if not packet.dropped
-                    and schedule.operations_at(current - packet.arrival_tick)
-                ]
-                finished = original(current)
-                tick_events.extend(
-                    (packet.packet_id, packet.processor, current, dict(packet.fields))
-                    for packet in live
-                )
-                return finished
-
-            processor.tick = tick
-        reference = simulator.run_packets(packets)
-        assert fused_events and fused_events == tick_events
-        equal, detail = _records_equal(reference, fused)
-        assert equal, detail
+        assert loops(re.findall(r"^def (\w+)", description.source, re.M)) == ["run_trace"]
+        assert loops(description.namespace) == ["RUN_TRACE", "run_trace"]
+    for factory, _entries in PROGRAMS.values():
+        fused = generate_bundle(factory(), DrmtHardwareParams(num_processors=2)).fused_program()
+        assert loops(re.findall(r"^def (\w+)", fused.source, re.M)) == ["run_trace"]
+        assert loops(fused.namespace) == ["RUN_TRACE", "run_trace"]

@@ -199,6 +199,33 @@ class TestEntryConfigFormat:
         with pytest.raises(TableConfigError):
             parse_entry_line("install forward 1 -> set_nhop", router)
 
+    def test_bad_action_argument_names_its_line(self, router):
+        text = (
+            "add forward ipv4.dstAddr=10/8 => set_nhop(1)\n"
+            "\n"
+            "add flow_stats ipv4.srcAddr=1 => count_flow(x)\n"
+        )
+        with pytest.raises(TableConfigError, match=r"line 3: 'x' is not an integer"):
+            parse_entries(text, router)
+
+    def test_repeated_match_field_rejected(self, router):
+        """``=1/8 ... =2/16`` used to keep the last pattern silently."""
+        with pytest.raises(TableConfigError, match=r"line 4: .*ipv4.dstAddr.*more than once"):
+            parse_entry_line(
+                "add forward ipv4.dstAddr=1/8 ipv4.dstAddr=2/16 => set_nhop(1)", router, 4
+            )
+
+    def test_stray_text_in_match_list_rejected(self, router):
+        """``junk`` between the matches used to be ignored."""
+        with pytest.raises(TableConfigError, match=r"line 2: 'junk' is not a field=pattern"):
+            parse_entry_line("add forward ipv4.dstAddr=1/8 junk => set_nhop(1)", router, 2)
+
+    @pytest.mark.parametrize("args", ["", "1, 2"])
+    def test_action_argument_count_checked(self, router, args):
+        """``set_nhop()`` used to run with ``port = 0`` on every driver."""
+        with pytest.raises(TableConfigError, match=r"line 5: .*set_nhop.*takes 1 argument"):
+            parse_entry_line(f"add forward ipv4.dstAddr=1/8 => set_nhop({args})", router, 5)
+
     def test_parse_entries_ignores_comments_and_blanks(self, router):
         text = "# comment\n\nadd flow_stats ipv4.srcAddr=1 => count_flow(1)\n// more\n"
         entries = parse_entries(text, router)
